@@ -21,7 +21,7 @@ int main() {
 
   // Prune to 75% sparsity with the Shfl-BW pattern, vector size 64.
   SparseLinear::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 64;
   const SparseLinear layer(weights, opt);

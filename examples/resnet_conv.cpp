@@ -28,7 +28,7 @@ int main() {
   for (auto& v : input.data) v = static_cast<float>(rng.Normal());
 
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 32;
   const SparseConv2d conv(filters, shape, opt);

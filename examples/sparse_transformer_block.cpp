@@ -75,7 +75,7 @@ int main() {
 
   // ---- Build phase: prune + compress the FFN of one encoder block.
   SparseLinear::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 64;
 

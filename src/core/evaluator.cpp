@@ -7,21 +7,9 @@
 #include "kernels/conv2d.h"
 #include "kernels/kernel_registry.h"
 #include "prune/importance.h"
+#include "runtime/model_desc.h"
 
 namespace shflbw {
-
-KernelClass PatternKernelClass(SparsePattern pattern) {
-  switch (pattern) {
-    case SparsePattern::kDense: return KernelClass::kDenseTensorCore;
-    case SparsePattern::kUnstructured: return KernelClass::kSputnik;
-    case SparsePattern::kBlockWise: return KernelClass::kBsrTensorCore;
-    case SparsePattern::kVectorWise:
-      return KernelClass::kVectorWiseTensorCore;
-    case SparsePattern::kShflBw: return KernelClass::kShflBwTensorCore;
-    case SparsePattern::kBalanced24: return KernelClass::kBalanced24;
-  }
-  throw Error("unknown pattern");
-}
 
 std::optional<ModelSpeedup> EvaluateGemmModel(
     const std::vector<GemmLayerSpec>& layers, const std::vector<int>& counts,
@@ -51,38 +39,14 @@ std::optional<ModelSpeedup> EvaluateGemmModel(
 std::optional<ModelSpeedup> EvaluateConvModel(
     const std::vector<ConvLayerSpec>& layers, KernelClass klass,
     double density, int v, const GpuSpec& spec) {
-  const bool has_conv =
-      klass == KernelClass::kDenseTensorCore ||
-      klass == KernelClass::kVectorWiseTensorCore ||
-      klass == KernelClass::kShflBwTensorCore;
-  if (!has_conv) return std::nullopt;  // §6.2: baselines lack convolution
-
   const CostModel model(spec);
   ModelSpeedup total;
   for (const ConvLayerSpec& l : layers) {
-    ConvShape shape;
-    shape.batch = l.batch;
-    shape.in_c = l.in_c;
-    shape.in_h = l.in_h;
-    shape.in_w = l.in_w;
-    shape.out_c = l.out_c;
-    shape.kh = l.kh;
-    shape.kw = l.kw;
-    shape.stride = l.stride;
-    shape.pad = l.pad;
-
-    if (shape.GemmM() % v != 0) return std::nullopt;
-
+    const ConvShape shape = runtime::ToConvShape(l);
+    const auto sparse = ConvLayerStats(klass, shape, density, v, spec);
+    if (!sparse) return std::nullopt;  // §6.2: baselines lack convolution
     const double dense_s = model.Seconds(Conv2dDenseStats(shape, spec));
-    double sparse_s = 0;
-    if (klass == KernelClass::kDenseTensorCore) {
-      sparse_s = dense_s;
-    } else {
-      sparse_s = model.Seconds(
-          klass == KernelClass::kVectorWiseTensorCore
-              ? Conv2dVectorWiseStats(shape, density, v, spec)
-              : Conv2dShflBwStats(shape, density, v, spec));
-    }
+    const double sparse_s = model.Seconds(*sparse);
     LayerTiming t{l.name, dense_s * l.repeat, sparse_s * l.repeat,
                   dense_s / sparse_s};
     total.dense_s += t.dense_s;
@@ -102,20 +66,19 @@ double ProxyQuality(double dense_score, double relative_retention,
 }
 
 QualityResult EvaluateQuality(const std::vector<Matrix<float>>& weights,
-                              SparsePattern pattern, double density,
-                              const PruneOptions& opts, double dense_score,
-                              double sensitivity) {
+                              runtime::Format format, double density, int v,
+                              double dense_score, double sensitivity) {
   SHFLBW_CHECK_MSG(!weights.empty(), "no weight matrices");
+  const auto mask = runtime::GetFormatOps(format).mask;
+  const auto unstructured = runtime::GetFormatOps(runtime::Format::kCsr).mask;
   double retained = 0.0;
   double unstructured_retained = 0.0;
   double total = 0.0;
   for (const Matrix<float>& w : weights) {
     const Matrix<float> scores = MagnitudeScores(w);
-    const Matrix<float> mask = PatternMask(scores, pattern, density, opts);
-    retained += RetainedScore(scores, mask);
-    unstructured_retained += RetainedScore(
-        scores, PatternMask(scores, SparsePattern::kUnstructured, density,
-                            opts));
+    retained += RetainedScore(scores, mask(scores, density, v, nullptr));
+    unstructured_retained +=
+        RetainedScore(scores, unstructured(scores, density, v, nullptr));
     for (float s : scores.storage()) total += s;
   }
   QualityResult q;

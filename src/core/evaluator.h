@@ -10,9 +10,9 @@
 
 #include "arch/gpu_spec.h"
 #include "arch/kernel_stats.h"
-#include "core/pattern.h"
-#include "core/pipeline.h"
+#include "common/matrix.h"
 #include "model/layer_spec.h"
+#include "runtime/format.h"
 
 namespace shflbw {
 
@@ -47,9 +47,6 @@ std::optional<ModelSpeedup> EvaluateConvModel(
     const std::vector<ConvLayerSpec>& layers, KernelClass klass,
     double density, int v, const GpuSpec& spec);
 
-/// Maps a SparsePattern to the kernel class that executes it in Fig. 6.
-KernelClass PatternKernelClass(SparsePattern pattern);
-
 // ---------------------------------------------------------------------
 // Quality proxy (Table 1 / Fig. 2).
 // ---------------------------------------------------------------------
@@ -75,11 +72,10 @@ struct QualityResult {
 double ProxyQuality(double dense_score, double relative_retention,
                     double sensitivity);
 
-/// Prunes every weight matrix with `pattern` at `density` and returns
-/// the aggregate retained-importance ratio and proxied score.
+/// Masks every weight matrix with `format`'s row at (density, v) and
+/// returns the aggregate retained-importance ratio and proxied score.
 QualityResult EvaluateQuality(const std::vector<Matrix<float>>& weights,
-                              SparsePattern pattern, double density,
-                              const PruneOptions& opts, double dense_score,
-                              double sensitivity);
+                              runtime::Format format, double density, int v,
+                              double dense_score, double sensitivity);
 
 }  // namespace shflbw

@@ -1,6 +1,8 @@
 #include "core/sparse_conv2d.h"
 
 #include "common/check.h"
+#include "format/convert.h"
+#include "kernels/kernel_registry.h"
 
 namespace shflbw {
 
@@ -12,39 +14,25 @@ SparseConv2d::SparseConv2d(const Matrix<float>& filter_matrix,
                    "filter matrix " << filter_matrix.rows() << "x"
                                     << filter_matrix.cols()
                                     << " does not match conv shape");
-  SHFLBW_CHECK_MSG(options.pattern == SparsePattern::kDense ||
-                       options.pattern == SparsePattern::kShflBw,
-                   "SparseConv2d supports dense and shfl-bw patterns "
-                   "(the paper's conv kernel); got "
-                       << SparsePatternName(options.pattern));
-  if (options.pattern == SparsePattern::kDense) {
-    pruned_weights_ = filter_matrix;
-    return;
-  }
-  PruneOptions popt;
-  popt.v = options.v;
-  popt.shflbw = options.search;
-  PruneResult pr = PruneWithPattern(filter_matrix, SparsePattern::kShflBw,
-                                    options.density, popt);
-  pruned_weights_ = std::move(pr.pruned_weights);
-  shflbw_ = ShflBwMatrix::FromDense(pruned_weights_, options.v,
-                                    *pr.storage_to_original);
+  SHFLBW_CHECK_MSG(runtime::GetFormatOps(options.format).conv != nullptr,
+                   "SparseConv2d needs a format with a conv kernel "
+                   "(dense, vw, shfl-bw); got "
+                       << runtime::FormatName(options.format));
+  packed_ = runtime::PackWeight(options.format, filter_matrix,
+                                options.density, options.v, &mask_);
+  pruned_weights_ = ApplyMask(filter_matrix, mask_);
 }
 
 Matrix<float> SparseConv2d::Forward(const Tensor4& input) const {
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  if (options_.pattern == SparsePattern::kDense) {
-    return Conv2dDense(input, pruned_weights_, shape_, spec).c;
-  }
-  return Conv2dShflBw(input, *shflbw_, shape_, spec, options_.tile).c;
+  return runtime::GetFormatOps(options_.format)
+      .conv(packed_, shape_, input, GetGpuSpec(GpuArch::kV100))
+      .c;
 }
 
 KernelStats SparseConv2d::Stats(const GpuSpec& spec) const {
-  if (options_.pattern == SparsePattern::kDense) {
-    return Conv2dDenseStats(shape_, spec);
-  }
-  return Conv2dShflBwStats(shape_, options_.density, options_.v, spec,
-                           options_.tile);
+  return ConvLayerStats(runtime::FormatKernelClass(options_.format), shape_,
+                        options_.density, options_.v, spec)
+      .value();
 }
 
 TimeBreakdown SparseConv2d::ModelTime(const GpuSpec& spec) const {

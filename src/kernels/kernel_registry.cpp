@@ -14,9 +14,18 @@
 
 namespace shflbw {
 
+namespace {
+
+std::optional<KernelStats> Infeasible(std::string* why, const char* reason) {
+  if (why) *why = reason;
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<KernelStats> LayerStats(KernelClass klass,
                                       const LayerProblem& p,
-                                      const GpuSpec& spec) {
+                                      const GpuSpec& spec, std::string* why) {
   SHFLBW_CHECK_MSG(p.m > 0 && p.n > 0 && p.k > 0,
                    "bad layer shape " << p.m << "/" << p.n << "/" << p.k);
   SHFLBW_CHECK_MSG(p.density > 0.0 && p.density <= 1.0,
@@ -33,32 +42,67 @@ std::optional<KernelStats> LayerStats(KernelClass klass,
     case KernelClass::kSputnik:
       return SpmmSputnikStats(p.m, p.n, p.k, nnz, spec);
     case KernelClass::kBsrTensorCore: {
-      if (p.m % p.v != 0 || p.k % p.v != 0) return std::nullopt;
+      if (p.m % p.v != 0 || p.k % p.v != 0) {
+        return Infeasible(why, "m or k not divisible by V");
+      }
       const double nnz_blocks =
           p.density * (static_cast<double>(p.m) / p.v) *
           (static_cast<double>(p.k) / p.v);
       return SpmmBsrStats(p.m, p.n, p.k, nnz_blocks, p.v, spec);
     }
     case KernelClass::kVectorWiseTensorCore:
-      if (p.m % p.v != 0) return std::nullopt;
+      if (p.m % p.v != 0) return Infeasible(why, "m not divisible by V");
       return SpmmVectorWiseStats(p.m, p.n, p.k, p.density, p.v, spec);
     case KernelClass::kShflBwTensorCore:
-      if (p.m % p.v != 0) return std::nullopt;
+      if (p.m % p.v != 0) return Infeasible(why, "m not divisible by V");
       return SpmmShflBwStats(p.m, p.n, p.k, p.density, p.v, spec);
     case KernelClass::kBalanced24:
-      // Hardware 2:4 exists only at 50% density and only on A100.
-      if (std::abs(p.density - 0.5) > 1e-9) return std::nullopt;
-      if (spec.arch != GpuArch::kA100) return std::nullopt;
-      if (p.k % 4 != 0) return std::nullopt;
+      // Hardware 2:4 exists only at 50% density and only on A100. The
+      // sparse tensor-core fixes density at exactly 0.5; selecting it at
+      // any other pruning budget would execute a different model.
+      if (std::abs(p.density - 0.5) > 1e-9) {
+        return Infeasible(why, "2:4 fixes density at 0.5");
+      }
+      if (spec.arch != GpuArch::kA100) {
+        return Infeasible(why, "sparse tensor-core is A100-only");
+      }
+      if (p.k % 4 != 0) return Infeasible(why, "k not divisible by 4");
       return SpmmBalanced24Stats(p.m, p.n, p.k, spec);
     case KernelClass::kVectorSparse:
-      if (p.m % kVectorSparseV != 0) return std::nullopt;
+      if (p.m % kVectorSparseV != 0) {
+        return Infeasible(why, "m not divisible by the fixed V");
+      }
       return SpmmVectorSparseStats(p.m, p.n, p.k, p.density, spec);
     case KernelClass::kTilewise:
-      if (p.m % kTilewiseV != 0) return std::nullopt;
+      if (p.m % kTilewiseV != 0) {
+        return Infeasible(why, "m not divisible by the fixed V");
+      }
       return SpmmTilewiseStats(p.m, p.n, p.k, p.density, spec);
   }
-  return std::nullopt;
+  return Infeasible(why, "stats model undefined");
+}
+
+std::optional<KernelStats> ConvLayerStats(KernelClass klass,
+                                          const ConvShape& shape,
+                                          double density, int v,
+                                          const GpuSpec& spec,
+                                          std::string* why) {
+  switch (klass) {
+    case KernelClass::kDenseTensorCore:
+      return Conv2dDenseStats(shape, spec);
+    case KernelClass::kVectorWiseTensorCore:
+      if (shape.GemmM() % v != 0) {
+        return Infeasible(why, "out_c not divisible by V");
+      }
+      return Conv2dVectorWiseStats(shape, density, v, spec);
+    case KernelClass::kShflBwTensorCore:
+      if (shape.GemmM() % v != 0) {
+        return Infeasible(why, "out_c not divisible by V");
+      }
+      return Conv2dShflBwStats(shape, density, v, spec);
+    default:
+      return Infeasible(why, "no conv implementation");  // §6.2
+  }
 }
 
 std::optional<double> LayerSeconds(KernelClass klass, const LayerProblem& p,

@@ -5,11 +5,13 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "arch/cost_model.h"
 #include "arch/gpu_spec.h"
 #include "arch/kernel_stats.h"
+#include "kernels/conv2d.h"
 
 namespace shflbw {
 
@@ -24,10 +26,23 @@ struct LayerProblem {
 
 /// Stats model of `klass` on the problem. Returns nullopt where the
 /// combination is undefined (e.g. balanced 2:4 at density != 0.5, or a
-/// pattern whose V constraint the shape cannot satisfy).
+/// pattern whose V constraint the shape cannot satisfy), and then sets
+/// *why (when non-null) to the reason.
 std::optional<KernelStats> LayerStats(KernelClass klass,
                                       const LayerProblem& p,
-                                      const GpuSpec& spec);
+                                      const GpuSpec& spec,
+                                      std::string* why = nullptr);
+
+/// Stats model of `klass` as an implicit-GEMM convolution at (density,
+/// v). Only the dense baseline and the VW / Shfl-BW kernels implement
+/// convolution ("the baselines all lack implementation for
+/// convolution", §6.2); every other class, and a sparse class whose V
+/// does not divide out_c, returns nullopt and sets *why.
+std::optional<KernelStats> ConvLayerStats(KernelClass klass,
+                                          const ConvShape& shape,
+                                          double density, int v,
+                                          const GpuSpec& spec,
+                                          std::string* why = nullptr);
 
 /// Modelled seconds of `klass` on the problem, through the cost model.
 std::optional<double> LayerSeconds(KernelClass klass, const LayerProblem& p,

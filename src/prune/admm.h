@@ -32,7 +32,8 @@ Matrix<float> AdmmProjectStep(const Matrix<float>& weights, Matrix<float>& u,
 /// Offline (no-trainer) ADMM: repeatedly pulls W toward its projection,
 ///   W <- (W + rho * Z) / (1 + rho),  Z = project(W + U),  U += W - Z,
 /// then hard-projects. Models the weight-distribution reshaping ADMM
-/// performs before the final prune; used by the Table 1 pipeline.
+/// performs before the final prune. No bench, example or runtime path
+/// calls it; only its own test does.
 Matrix<float> AdmmRegularize(Matrix<float> weights,
                              const PatternProjector& project,
                              const AdmmOptions& opts = {});

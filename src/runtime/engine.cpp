@@ -7,12 +7,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/rng.h"
-#include "kernels/gemm_dense.h"
-#include "kernels/spmm_balanced24.h"
-#include "kernels/spmm_bsr.h"
-#include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
-#include "kernels/spmm_vector_wise.h"
 #include "model/weight_synth.h"
 
 namespace shflbw {
@@ -91,32 +85,17 @@ const PackedWeight& Engine::Packed(int layer, Format format, double density,
 
 KernelResult Engine::ExecuteGemm(const PackedWeight& w,
                                  const Matrix<float>& act) {
-  switch (w.format) {
-    case Format::kDense: return GemmTensorCore(w.dense, act, spec_);
-    case Format::kCsr: return SpmmSputnik(w.csr, act, spec_);
-    case Format::kBsr: return SpmmBsr(w.bsr, act, spec_);
-    case Format::kBalanced24: return SpmmBalanced24(w.balanced24, act, spec_);
-    case Format::kVectorWise: return SpmmVectorWise(w.vw, act, spec_);
-    case Format::kShflBw: return SpmmShflBw(w.shflbw, act, spec_);
-  }
-  throw Error("unknown Format");
+  return GetFormatOps(w.format).gemm(w, act, spec_);
 }
 
 KernelResult Engine::ExecuteConv(const PackedWeight& w, const ConvShape& shape,
                                  const Tensor4& input) {
-  switch (w.format) {
-    case Format::kDense: return Conv2dDense(input, w.dense, shape, spec_);
-    case Format::kShflBw: return Conv2dShflBw(input, w.shflbw, shape, spec_);
-    case Format::kVectorWise: {
-      // Implicit GEMM with the VW kernel: same engine as Shfl-BW minus
-      // the row shuffle (the unfold is shared with Conv2dDense).
-      const Matrix<float> b = Im2Col(input, shape);
-      return SpmmVectorWise(w.vw, b, spec_);
-    }
-    default:
-      throw Error("format " + FormatName(w.format) +
-                  " has no conv implementation");
+  const auto conv = GetFormatOps(w.format).conv;
+  if (conv == nullptr) {
+    throw Error("format " + FormatName(w.format) +
+                " has no conv implementation");
   }
+  return conv(w, shape, input, spec_);
 }
 
 const Matrix<float>& Engine::FusedGemmInput(int k, int n, int width) {

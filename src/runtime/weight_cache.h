@@ -18,30 +18,11 @@
 
 #include "common/matrix.h"
 #include "common/thread_annotations.h"
-#include "format/balanced24.h"
-#include "format/bsr.h"
-#include "format/csr.h"
-#include "format/shfl_bw.h"
-#include "format/vector_wise.h"
 #include "runtime/fault_injection.h"
 #include "runtime/format.h"
 
 namespace shflbw {
 namespace runtime {
-
-/// A weight converted and pruned for one format. Only the member
-/// matching `format` is populated (dense additionally holds the
-/// fp16-rounded master for Format::kDense).
-struct PackedWeight {
-  Format format = Format::kDense;
-  Matrix<float> dense;
-  CsrMatrix csr;
-  BsrMatrix bsr;
-  Balanced24Matrix balanced24;
-  VectorWiseMatrix vw;
-  ShflBwMatrix shflbw;
-  double pack_seconds = 0;  // wall-clock spent pruning + converting
-};
 
 /// Pack-once cache keyed by (layer index, format, density, v).
 ///
@@ -125,12 +106,6 @@ class PackedWeightCache {
   std::size_t packs_ SHFLBW_GUARDED_BY(mu_) = 0;
   std::shared_ptr<FaultInjector> injector_ SHFLBW_GUARDED_BY(mu_);
 };
-
-/// Prunes `master` to `format` at (density, v) and converts the result
-/// into the packed representation. Deterministic (the Shfl-BW search
-/// seed is fixed).
-PackedWeight PackWeight(Format format, const Matrix<float>& master,
-                        double density, int v);
 
 }  // namespace runtime
 }  // namespace shflbw

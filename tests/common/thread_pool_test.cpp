@@ -189,6 +189,7 @@ TEST(ParallelFor, ConcurrentRegionsGetDisjointWorkerPartitions) {
   // their chunks. The partitions must be disjoint: a pool worker serves
   // exactly one region at a time.
   std::atomic<int> regions_started{0};
+  std::atomic<bool> region_running[2] = {false, false};
   shflbw::Mutex mu;
   std::set<std::thread::id> ids[2];
   std::thread::id caller_ids[2];
@@ -196,10 +197,11 @@ TEST(ParallelFor, ConcurrentRegionsGetDisjointWorkerPartitions) {
   for (int t = 0; t < 2; ++t) {
     callers.emplace_back([&, t] {
       caller_ids[t] = std::this_thread::get_id();
-      regions_started.fetch_add(1);
-      // Both callers enter ParallelFor before either can finish: the
-      // first chunk of each region waits for the other region to exist.
+      // A region counts as started only once its first chunk runs, so
+      // neither region can finish (and hand its workers to the other)
+      // before both are inside ParallelFor at the same time.
       ParallelFor(0, 64, 1, [&](std::int64_t, std::int64_t) {
+        if (!region_running[t].exchange(true)) regions_started.fetch_add(1);
         while (regions_started.load() < 2) std::this_thread::yield();
         shflbw::MutexLock lock(mu);
         ids[t].insert(std::this_thread::get_id());

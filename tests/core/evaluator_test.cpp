@@ -15,11 +15,11 @@ const GpuSpec& T4() { return GetGpuSpec(GpuArch::kT4); }
 const GpuSpec& A100() { return GetGpuSpec(GpuArch::kA100); }
 
 TEST(Evaluator, PatternToKernelClassMapping) {
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kShflBw),
+  EXPECT_EQ(runtime::FormatKernelClass(runtime::Format::kShflBw),
             KernelClass::kShflBwTensorCore);
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kUnstructured),
+  EXPECT_EQ(runtime::FormatKernelClass(runtime::Format::kCsr),
             KernelClass::kSputnik);
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kDense),
+  EXPECT_EQ(runtime::FormatKernelClass(runtime::Format::kDense),
             KernelClass::kDenseTensorCore);
 }
 
@@ -139,14 +139,12 @@ TEST(Evaluator, QualityOrderingAcrossPatterns) {
     opt.seed = 400 + i;
     weights.push_back(SynthesizeWeights(128, 128, opt));
   }
-  PruneOptions opts;
-  opts.v = 32;
   const QualityResult shflbw = EvaluateQuality(
-      weights, SparsePattern::kShflBw, 0.2, opts, 27.5, 3.0);
+      weights, runtime::Format::kShflBw, 0.2, 32, 27.5, 3.0);
   const QualityResult vw = EvaluateQuality(
-      weights, SparsePattern::kVectorWise, 0.2, opts, 27.5, 3.0);
+      weights, runtime::Format::kVectorWise, 0.2, 32, 27.5, 3.0);
   const QualityResult bw = EvaluateQuality(
-      weights, SparsePattern::kBlockWise, 0.2, opts, 27.5, 3.0);
+      weights, runtime::Format::kBsr, 0.2, 32, 27.5, 3.0);
   EXPECT_GT(shflbw.retained_ratio, vw.retained_ratio);
   EXPECT_GT(vw.retained_ratio, bw.retained_ratio);
   EXPECT_GT(shflbw.proxy_score, bw.proxy_score);

@@ -32,7 +32,7 @@ TEST(SparseConv2d, DenseModeMatchesConvKernel) {
   Rng rng(347);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kDense;
+  opt.format = runtime::Format::kDense;
   const SparseConv2d conv(w, s, opt);
   const Tensor4 input = RandomInput(s, 349);
   EXPECT_EQ(conv.Forward(input), Conv2dDense(input, w, s, V100()).c);
@@ -43,7 +43,7 @@ TEST(SparseConv2d, ShflBwForwardMatchesDenseOnPrunedFilters) {
   Rng rng(353);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 4;
   const SparseConv2d conv(w, s, opt);
@@ -52,18 +52,40 @@ TEST(SparseConv2d, ShflBwForwardMatchesDenseOnPrunedFilters) {
             Conv2dDense(input, conv.pruned_weights(), s, V100()).c);
 }
 
+TEST(SparseConv2d, VectorWiseForwardMatchesDenseOnPrunedFilters) {
+  const ConvShape s = TinyShape();
+  Rng rng(361);
+  const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
+  SparseConv2d::Options opt;
+  opt.format = runtime::Format::kVectorWise;
+  opt.density = 0.25;
+  opt.v = 4;
+  const SparseConv2d conv(w, s, opt);
+  const Tensor4 input = RandomInput(s, 363);
+  EXPECT_EQ(conv.Forward(input),
+            Conv2dDense(input, conv.pruned_weights(), s, V100()).c);
+  EXPECT_EQ(conv.Stats(V100()).kernel_class,
+            KernelClass::kVectorWiseTensorCore);
+}
+
 TEST(SparseConv2d, RejectsUnsupportedPatterns) {
   const ConvShape s = TinyShape();
   Matrix<float> w(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kBlockWise;
+  opt.format = runtime::Format::kBsr;
+  EXPECT_THROW(SparseConv2d(w, s, opt), Error);
+  // Exactly the formats without a conv row: CSR, BSR and 2:4.
+  opt.format = runtime::Format::kCsr;
+  EXPECT_THROW(SparseConv2d(w, s, opt), Error);
+  opt.format = runtime::Format::kBalanced24;
+  opt.density = 0.5;
   EXPECT_THROW(SparseConv2d(w, s, opt), Error);
 }
 
 TEST(SparseConv2d, RejectsMismatchedFilterShape) {
   const ConvShape s = TinyShape();
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kDense;
+  opt.format = runtime::Format::kDense;
   EXPECT_THROW(SparseConv2d(Matrix<float>(3, 3), s, opt), Error);
 }
 
@@ -78,7 +100,7 @@ TEST(SparseConv2d, ModelTimeAndSpeedup) {
   Rng rng(367);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 32;
   const SparseConv2d conv(w, s, opt);

@@ -145,11 +145,12 @@ TEST(LintGolden, RuleNamesAreExhaustive) {
   const std::vector<std::string>& rules = RuleNames();
   for (const char* expected :
        {"raw-sync", "hot-path", "hot-marker", "determinism",
-        "nodiscard-status", "logging", "bad-suppression"}) {
+        "nodiscard-status", "logging", "format-dispatch",
+        "bad-suppression"}) {
     EXPECT_NE(std::find(rules.begin(), rules.end(), expected), rules.end())
         << expected;
   }
-  EXPECT_EQ(rules.size(), 7u);
+  EXPECT_EQ(rules.size(), 8u);
 }
 
 }  // namespace

@@ -36,6 +36,11 @@
 //                     (logging, obs/trace, obs/statusz,
 //                     obs/flight_recorder, format/serialize);
 //                     bench/, examples/ and tests/ are out of scope.
+//   format-dispatch   no `case Format::...` (however qualified) in src/
+//                     outside src/runtime/format.cpp: every per-format
+//                     decision is a field of that file's FormatOps table,
+//                     so adding a format touches one row, not a hunt for
+//                     switch statements.
 //   bad-suppression   a malformed SHFLBW_LINT_ALLOW comment (missing
 //                     or empty justification, unknown rule name).
 //

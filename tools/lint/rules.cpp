@@ -24,11 +24,12 @@ const char kHotMarker[] = "hot-marker";
 const char kDeterminism[] = "determinism";
 const char kNodiscard[] = "nodiscard-status";
 const char kLogging[] = "logging";
+const char kFormatDispatch[] = "format-dispatch";
 const char kBadSuppression[] = "bad-suppression";
 
 const std::vector<std::string> kRules = {
     kRawSync,  kHotPath,   kHotMarker,       kDeterminism,
-    kNodiscard, kLogging,  kBadSuppression,
+    kNodiscard, kLogging,  kFormatDispatch,  kBadSuppression,
 };
 
 // ---- path scoping ------------------------------------------------------
@@ -538,6 +539,33 @@ void CheckLogging(const Pass& p) {
   }
 }
 
+// ---- rule: format-dispatch ---------------------------------------------
+
+void CheckFormatDispatch(const Pass& p) {
+  // The format table is the one place allowed to decide per Format.
+  if (!InSrc(p.path) || p.path == "src/runtime/format.cpp") return;
+  for (std::size_t i = 0; i < p.toks.size(); ++i) {
+    if (!p.IsIdent(i, "case")) continue;
+    // Walk the qualifier chain `a :: b :: ... :: kEnumerator`, keeping
+    // the qualifier directly in front of the enumerator.
+    std::string qualifier;
+    std::size_t j = p.NextCode(i);
+    while (j < p.toks.size() && p.toks[j].kind == TokKind::kIdent) {
+      const std::size_t c1 = p.NextCode(j);
+      if (!p.IsPunct(c1, ':')) break;
+      const std::size_t c2 = p.NextCode(c1);
+      if (!p.IsPunct(c2, ':')) break;
+      qualifier = p.toks[j].text;
+      j = p.NextCode(c2);
+    }
+    if (qualifier != "Format") continue;
+    p.Report(p.toks[i].line, kFormatDispatch,
+             "per-Format case outside the format table; add a FormatOps "
+             "field in src/runtime/format.cpp and dispatch through "
+             "GetFormatOps");
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& RuleNames() { return kRules; }
@@ -559,6 +587,7 @@ std::vector<Finding> LintSource(const std::string& relpath,
   CheckDeterminism(p);
   CheckNodiscardStatus(p);
   CheckLogging(p);
+  CheckFormatDispatch(p);
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
                      return a.line < b.line;
