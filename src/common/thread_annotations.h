@@ -33,9 +33,12 @@
 // (BatchServer::MetricsText refreshes gauges under mu_); everything
 // else holds at most one of these locks at a time — kernels run inside
 // ParallelFor chunks with NO lock held (the pool mutex is released
-// before chunks drain), packing runs under the cache lock but calls
-// only lock-free pruners, and the evaluator's mask searches are
-// serial. The order is enforced two ways:
+// before chunks drain), and the cache and the evaluator hold their
+// locks only for table work (lookups, updates, the evaluator's serial
+// score synthesis): a pack or a mask search
+// (the Shfl-BW row-shuffle search enters ParallelFor) runs with no
+// lock held, under a per-key in-flight slot that later callers of the
+// same key wait on. The order is enforced two ways:
 //
 //   1. SHFLBW_ACQUIRED_BEFORE annotations where a class can name the
 //      later lock (checked by Clang under -Wthread-safety-beta).

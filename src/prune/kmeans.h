@@ -11,7 +11,7 @@
 namespace shflbw {
 
 struct KMeansOptions {
-  int iterations = 10;
+  int iterations = 10;  // >= 1; fewer throws shflbw::Error
   std::uint64_t seed = 42;  // centroid initialization
 };
 
@@ -26,7 +26,9 @@ struct RowGrouping {
 /// Clusters the rows of `mask` (entries 0/1) into rows/V groups of
 /// exactly V rows each, minimizing within-group pattern disagreement.
 /// Balanced assignment: (row, centroid) pairs are greedily matched in
-/// ascending distance order, closing centroids once full.
+/// ascending distance order, closing centroids once full. The restarts
+/// and distance passes run on the worker pool (common/thread_pool.h);
+/// the result is bit-identical at any thread count.
 RowGrouping BalancedKMeansRows(const Matrix<float>& mask, int v,
                                const KMeansOptions& opts = {});
 

@@ -22,7 +22,7 @@ namespace shflbw {
 struct ShflBwSearchOptions {
   /// Mask-generation density multiplier: beta = min(1, ratio * alpha).
   double beta_ratio = 2.0;
-  int kmeans_iterations = 10;
+  int kmeans_iterations = 10;  // >= 1 (KMeansOptions::iterations)
   std::uint64_t seed = 42;
 };
 

@@ -14,13 +14,17 @@
 // over a density ladder — or a benchmark sweeping many quality floors —
 // pays for each mask search once. Deterministic: the same key always
 // returns the same ratio. Thread-safe the same way PackedWeightCache
-// is: one mutex, evaluation runs under it, concurrent planners with
-// the same keys evaluate at most once.
+// is: one mutex guards the memo tables, and the mask search itself
+// runs outside it under a per-key in-flight slot, so concurrent
+// planners with the same key evaluate at most once while lookups of
+// other keys never wait behind a search.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
 #include <tuple>
 
 #include "common/matrix.h"
@@ -86,15 +90,24 @@ class QualityEvaluator {
   // m, k, seed, format, density, v
   using RatioKey = std::tuple<int, int, std::uint64_t, int, double, int>;
 
-  /// Synthesizes (or fetches) the master's importance scores.
-  const ScoresEntry& Scores(int m, int k, std::uint64_t seed)
+  /// Synthesizes (or fetches) the master's importance scores. Shared
+  /// ownership keeps them alive for an evaluation running outside the
+  /// lock even if Clear() drops the table meanwhile.
+  std::shared_ptr<const ScoresEntry> Scores(int m, int k, std::uint64_t seed)
       SHFLBW_REQUIRES(mu_);
 
-  /// Rank kLockRankEvaluator: the mask searches under it are serial
-  /// (no ParallelFor) and touch no other locked subsystem.
+  /// Rank kLockRankEvaluator: held only for table lookups, updates and
+  /// score synthesis, never across a mask search — the Shfl-BW search
+  /// enters ParallelFor, whose pool mutex (rank 10) would invert the
+  /// order.
   mutable Mutex mu_{kLockRankEvaluator};
-  std::map<ScoresKey, ScoresEntry> scores_ SHFLBW_GUARDED_BY(mu_);
+  std::map<ScoresKey, std::shared_ptr<const ScoresEntry>> scores_
+      SHFLBW_GUARDED_BY(mu_);
   std::map<RatioKey, double> ratios_ SHFLBW_GUARDED_BY(mu_);
+  /// Keys being evaluated right now, outside the lock; evaluated_ wakes
+  /// their waiters when a slot frees (evaluated or thrown).
+  std::set<RatioKey> in_flight_ SHFLBW_GUARDED_BY(mu_);
+  CondVar evaluated_;
   std::size_t evaluations_ SHFLBW_GUARDED_BY(mu_) = 0;
 };
 

@@ -18,18 +18,39 @@ const PackedWeight& PackedWeightCache::GetOrPack(
     const std::function<const Matrix<float>&()>& master_fn, double density,
     int v) {
   const Key key{layer, static_cast<int>(format), density, v};
-  MutexLock lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+  {
+    MutexLock lock(mu_);
+    // A key in flight is being packed by another caller: wait for its
+    // entry (or, if that pack throws, for the slot to free up).
+    pack_done_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
+      return in_flight_.count(key) == 0;
+    });
+    auto it = cache_.find(key);
+    if (it != cache_.end()) return it->second;
     // Fault hook fires before any mutation: a TransientFault here
     // leaves the cache byte-identical to before the call (no entry, no
-    // pack count), so a scheduler retry re-runs a clean miss.
+    // pack count, no in-flight slot), so a scheduler retry re-runs a
+    // clean miss.
     if (injector_) injector_->OnPack();
-    it = cache_.emplace(key, PackWeight(format, master_fn(), density, v))
-             .first;
-    ++packs_;
+    in_flight_.insert(key);
   }
-  return it->second;
+  // The pack runs with no lock held: a Shfl-BW pack is a row-shuffle
+  // search on the worker pool, whose mutex ranks before this one, and
+  // hits on other keys must not wait behind it.
+  PackedWeight packed;
+  try {
+    packed = PackWeight(format, master_fn(), density, v);
+  } catch (...) {
+    MutexLock lock(mu_);
+    in_flight_.erase(key);
+    pack_done_.NotifyAll();
+    throw;
+  }
+  MutexLock lock(mu_);
+  in_flight_.erase(key);
+  pack_done_.NotifyAll();
+  ++packs_;
+  return cache_.emplace(key, std::move(packed)).first->second;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "common/matrix.h"
@@ -37,10 +38,13 @@ namespace runtime {
 class PackedWeightCache {
  public:
   /// Returns the packed weight, converting `master` on first use.
-  /// Concurrent callers with the same key pack at most once; the
-  /// conversion itself runs under the cache lock, so replicas warming
-  /// the same model serialize through the pack phase and every later
-  /// lookup is a short locked map find.
+  /// Concurrent callers with the same key pack at most once: the first
+  /// claims an in-flight slot for the key and packs with no lock held
+  /// (a Shfl-BW pack runs its row-shuffle search on the worker pool);
+  /// later callers of that key wait for the entry, while lookups of
+  /// other keys — hits or their own packs — proceed meanwhile. If the
+  /// pack throws, no entry is left, the slot is freed and its waiters
+  /// wake to retry the miss themselves.
   const PackedWeight& GetOrPack(int layer, Format format,
                                 const Matrix<float>& master, double density,
                                 int v) SHFLBW_EXCLUDES(mu_);
@@ -83,8 +87,9 @@ class PackedWeightCache {
   }
 
   /// Installs a fault injector consulted on every cache miss, BEFORE
-  /// the conversion runs or the cache mutates: an injected pack failure
-  /// throws TransientFault out of GetOrPack and leaves no partial entry
+  /// the conversion runs or the cache mutates (no entry and no
+  /// in-flight slot yet): an injected pack failure throws
+  /// TransientFault out of GetOrPack and leaves no partial entry
   /// behind, so a retry sees a clean miss. Engines sharing this cache
   /// install the same injector (EngineOptions::fault_injector); nullptr
   /// uninstalls.
@@ -98,11 +103,15 @@ class PackedWeightCache {
   using Key = std::tuple<int, int, double, int>;  // layer, format, density, v
 
   /// Rank kLockRankCache: may be acquired while no lock or only
-  /// earlier-ranked locks are held; packing under it calls only
-  /// lock-free pruners/converters (no ParallelFor — the pool mutex is
-  /// rank 10, which would invert the order).
+  /// earlier-ranked locks are held. Held only for map lookups and
+  /// updates, never across a pack: packing may enter ParallelFor, whose
+  /// pool mutex (rank 10) would invert the order.
   mutable Mutex mu_{kLockRankCache};
   std::map<Key, PackedWeight> cache_ SHFLBW_GUARDED_BY(mu_);
+  /// Keys being packed right now, outside the lock; pack_done_ wakes
+  /// their waiters when a slot frees (packed or thrown).
+  std::set<Key> in_flight_ SHFLBW_GUARDED_BY(mu_);
+  CondVar pack_done_;
   std::size_t packs_ SHFLBW_GUARDED_BY(mu_) = 0;
   std::shared_ptr<FaultInjector> injector_ SHFLBW_GUARDED_BY(mu_);
 };

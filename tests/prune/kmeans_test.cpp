@@ -67,6 +67,28 @@ TEST(KMeans, GroupSizeMustDivideRows) {
   EXPECT_THROW(BalancedKMeansRows(Matrix<float>(10, 4), 3), Error);
 }
 
+// An empty mask used to reach std::uniform_int_distribution(0, -1),
+// a precondition violation, while drawing the first seed.
+TEST(KMeans, RejectsEmptyMask) {
+  EXPECT_THROW(BalancedKMeansRows(Matrix<float>(0, 4), 4), Error);
+}
+
+// Regression: zero iterations used to return an empty "permutation"
+// (no row ever assigned), which the Shfl-BW search then indexed out of
+// bounds.
+TEST(KMeans, RejectsFewerThanOneIteration) {
+  Rng rng(179);
+  const Matrix<float> mask = rng.SparseMatrix(16, 8, 0.5);
+  for (int iterations : {0, -1}) {
+    KMeansOptions opts;
+    opts.iterations = iterations;
+    EXPECT_THROW(BalancedKMeansRows(mask, 4, opts), Error) << iterations;
+  }
+  KMeansOptions one;
+  one.iterations = 1;
+  EXPECT_EQ(BalancedKMeansRows(mask, 4, one).storage_to_original.size(), 16u);
+}
+
 TEST(KMeans, MoreIterationsNeverWorseOnPlanted) {
   // With planted structure, 10 iterations reach zero distance; 1
   // iteration may not, but never goes below zero.

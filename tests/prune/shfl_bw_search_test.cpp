@@ -128,6 +128,9 @@ TEST(ShflBwSearch, InvalidArgsThrow) {
   Matrix<float> scores(32, 32);
   EXPECT_THROW(ShflBwSearch(scores, 0.0, 8), Error);
   EXPECT_THROW(ShflBwSearch(scores, 0.5, 5), Error);  // 32 % 5 != 0
+  ShflBwSearchOptions no_iterations;
+  no_iterations.kmeans_iterations = 0;
+  EXPECT_THROW(ShflBwSearch(scores, 0.5, 8, no_iterations), Error);
 }
 
 class SearchDensitySweep : public ::testing::TestWithParam<double> {};

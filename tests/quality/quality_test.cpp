@@ -4,6 +4,9 @@
 // per-layer (format, density, V) choices — dense fallback included —
 // deterministically, with the engine packing each layer at its own
 // plan density and staying bit-identical at any thread count.
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
@@ -101,6 +104,29 @@ TEST(QualityEvaluator, MemoizesPerKeyAndSharesScores) {
   // New seed: new master.
   eval.RetainedRatio(64, 64, 8, Format::kVectorWise, 0.25, 8);
   EXPECT_EQ(eval.ScoreMatrices(), 2u);
+}
+
+// The mask search runs outside the evaluator lock under a per-key
+// in-flight slot: threads racing on one key still evaluate it once and
+// all read the same ratio, including when the search itself fans out
+// over the worker pool.
+TEST(QualityEvaluator, ConcurrentCallersEvaluateOneKeyOnce) {
+  ThreadGuard guard;
+  SetParallelThreads(4);
+  QualityEvaluator eval;
+  constexpr int kThreads = 8;
+  std::vector<double> ratios(kThreads, -1.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ratios[t] = eval.RetainedRatio(256, 128, 11, Format::kShflBw, 0.25, 32);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(eval.Evaluations(), 1u);
+  EXPECT_EQ(eval.ScoreMatrices(), 1u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ratios[t], ratios[0]);
+  EXPECT_GT(ratios[0], 0.0);
 }
 
 TEST(QualityEvaluator, RejectsBadArguments) {

@@ -2,12 +2,16 @@
 // density, v), every packed representation expands back to the pruned
 // weight it stores, and the cache survives concurrent GetOrPack from
 // many threads (the BatchServer shares one cache across replicas).
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "prune/unstructured.h"
 #include "prune/vector_wise_prune.h"
 #include "runtime/weight_cache.h"
@@ -120,6 +124,196 @@ TEST(PackedWeightCache, ConcurrentGetOrPackPacksOncePerKey) {
   // Spot-check contents survived the stampede.
   EXPECT_EQ(cache.GetOrPack(0, Format::kCsr, master, 0.25, 8).csr.ToDense(),
             PruneUnstructured(master, 0.25));
+}
+
+// A gate a lazy master function blocks on, so a test can hold a pack
+// in flight (GetOrPack calls the master function outside its lock) and
+// observe what other callers do meanwhile.
+class PackGate {
+ public:
+  /// Called from inside a pack: records entry, blocks until Open().
+  void EnterAndWait() {
+    MutexLock lock(mu_);
+    ++entered_;
+    cv_.NotifyAll();
+    cv_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) { return open_; });
+  }
+  void WaitEntered(int n) {
+    MutexLock lock(mu_);
+    cv_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) { return entered_ >= n; });
+  }
+  void Open() {
+    MutexLock lock(mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  int entered() {
+    MutexLock lock(mu_);
+    return entered_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int entered_ SHFLBW_GUARDED_BY(mu_) = 0;
+  bool open_ SHFLBW_GUARDED_BY(mu_) = false;
+};
+
+// Runs fn on a thread and reports whether it finished within `seconds`
+// (joining it either way, after `unblock` has run).
+template <typename Fn, typename Unblock>
+bool FinishesWithin(double seconds, Fn fn, Unblock unblock) {
+  Mutex mu;
+  CondVar cv;
+  bool done = false;
+  std::thread t([&] {
+    fn();
+    MutexLock lock(mu);
+    done = true;
+    cv.NotifyAll();
+  });
+  bool in_time = false;
+  {
+    MutexLock lock(mu);
+    in_time = cv.WaitFor(mu, seconds, [&]() { return done; });
+  }
+  unblock();
+  t.join();
+  return in_time;
+}
+
+TEST(PackedWeightCache, HitOnOtherKeyDoesNotWaitBehindAPack) {
+  Rng rng(29);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  PackedWeightCache cache;
+  const PackedWeight& a = cache.GetOrPack(0, Format::kCsr, master, 0.25, 8);
+
+  PackGate gate;
+  std::thread packer([&] {
+    (void)cache.GetOrPack(
+        1, Format::kCsr,
+        [&]() -> const Matrix<float>& {
+          gate.EnterAndWait();
+          return master;
+        },
+        0.25, 8);
+  });
+  gate.WaitEntered(1);  // key 1's pack is in flight and blocked
+  const PackedWeight* hit = nullptr;
+  EXPECT_TRUE(FinishesWithin(
+      10.0,
+      [&] { hit = &cache.GetOrPack(0, Format::kCsr, master, 0.25, 8); },
+      [&] { gate.Open(); }))
+      << "a hit on key 0 waited behind key 1's pack";
+  packer.join();
+  EXPECT_EQ(hit, &a);
+  EXPECT_EQ(cache.TotalPacks(), 2u);
+  EXPECT_EQ(cache.Size(), 2u);
+}
+
+TEST(PackedWeightCache, SameKeyCallersShareOnePackInFlight) {
+  Rng rng(31);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  PackedWeightCache cache;
+  PackGate gate;
+  std::atomic<int> master_calls{0};
+  const auto master_fn = [&]() -> const Matrix<float>& {
+    master_calls.fetch_add(1);
+    gate.EnterAndWait();
+    return master;
+  };
+
+  constexpr int kThreads = 6;
+  std::vector<const PackedWeight*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = &cache.GetOrPack(0, Format::kVectorWise, master_fn, 0.25, 8);
+    });
+  }
+  gate.WaitEntered(1);
+  // Give the other callers time to queue behind the in-flight slot;
+  // the assertions below hold however far they got.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.Open();
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(master_calls.load(), 1);
+  EXPECT_EQ(cache.TotalPacks(), 1u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[t], got[0]);
+}
+
+TEST(PackedWeightCache, ThrowingPackLeavesNoEntryAndWaiterRetries) {
+  Rng rng(37);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  PackedWeightCache cache;
+  (void)cache.GetOrPack(0, Format::kCsr, master, 0.25, 8);
+
+  // A pack that throws with nobody waiting: nothing changes.
+  EXPECT_THROW(cache.GetOrPack(
+                   1, Format::kCsr,
+                   []() -> const Matrix<float>& {
+                     throw std::runtime_error("master unavailable");
+                   },
+                   0.25, 8),
+               std::runtime_error);
+  EXPECT_EQ(cache.Size(), 1u);
+  EXPECT_EQ(cache.TotalPacks(), 1u);
+  EXPECT_FALSE(cache.Contains(1, Format::kCsr, 0.25, 8));
+
+  // A pack that throws while a second caller waits on the same key:
+  // the waiter wakes to a clean miss and packs the key itself.
+  PackGate gate;
+  bool thrown = false;
+  std::thread failing([&] {
+    try {
+      (void)cache.GetOrPack(
+          1, Format::kCsr,
+          [&]() -> const Matrix<float>& {
+            gate.EnterAndWait();
+            throw std::runtime_error("master unavailable");
+          },
+          0.25, 8);
+    } catch (const std::runtime_error&) {
+      thrown = true;
+    }
+  });
+  gate.WaitEntered(1);
+  const PackedWeight* retried = nullptr;
+  std::thread waiter([&] {
+    retried = &cache.GetOrPack(1, Format::kCsr, master, 0.25, 8);
+  });
+  // Give the waiter time to queue behind the in-flight slot; the
+  // assertions below hold however far it got.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.Open();
+  failing.join();
+  waiter.join();
+  EXPECT_TRUE(thrown);
+  ASSERT_NE(retried, nullptr);
+  EXPECT_EQ(retried->csr.ToDense(), PruneUnstructured(master, 0.25));
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_EQ(cache.TotalPacks(), 2u);
+  EXPECT_EQ(gate.entered(), 1);
+}
+
+TEST(PackedWeightCache, InjectedPackFaultLeavesNoEntry) {
+  Rng rng(41);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  PackedWeightCache cache;
+  (void)cache.GetOrPack(0, Format::kCsr, master, 0.25, 8);
+  FaultInjectorOptions fi;
+  fi.pack_failure_rate = 1.0;
+  fi.max_failures = 1;
+  cache.SetFaultInjector(std::make_shared<FaultInjector>(fi));
+  EXPECT_THROW(cache.GetOrPack(1, Format::kCsr, master, 0.25, 8),
+               TransientFault);
+  EXPECT_EQ(cache.Size(), 1u);
+  EXPECT_EQ(cache.TotalPacks(), 1u);
+  // Budget spent: the retry is a clean miss that packs.
+  (void)cache.GetOrPack(1, Format::kCsr, master, 0.25, 8);
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_EQ(cache.TotalPacks(), 2u);
 }
 
 TEST(PackWeight, RepresentationsMatchTheirPrunes) {
