@@ -176,7 +176,6 @@ ObsOverhead MeasureObservabilityOverhead(const ModelDesc& model,
   opts.queue_capacity = 64;
   opts.telemetry.metrics = true;
   opts.telemetry.tracing = true;
-  opts.telemetry.trace_capacity = 1 << 16;  // ample: no drops mid-measurement
 
   BatchServer server(model, opts);
   server.Warmup();
@@ -282,7 +281,6 @@ TraceScenario RunTraceScenario(const ModelDesc& model,
   // the service estimate warm, admission would bounce it up front.
   opts.admission.reject_infeasible_deadlines = false;
   opts.telemetry.tracing = true;
-  opts.telemetry.trace_capacity = 1 << 16;
   // No Warmup: the launch-fault budget must land on serving launches so
   // the trace shows a retried request.
   BatchServer server(model, opts);
@@ -321,21 +319,22 @@ TraceScenario RunTraceScenario(const ModelDesc& model,
   }
   server.Drain();
 
+  // The census counts the spans the Chrome trace draws (a seal is a
+  // coalesce span only when it held the window open).
   TraceScenario r;
-  const std::vector<obs::TraceEvent> events =
-      server.telemetry().trace().Snapshot();
-  r.spans = events.size();
-  for (const obs::TraceEvent& ev : events) {
+  for (const obs::Event& ev : server.telemetry().events().Snapshot().events) {
+    if (obs::SpanName(ev) == nullptr) continue;
+    ++r.spans;
     switch (ev.kind) {
-      case obs::SpanKind::kQueue: ++r.queue; break;
-      case obs::SpanKind::kCoalesce: ++r.coalesce; break;
-      case obs::SpanKind::kKernel: ++r.kernel; break;
-      case obs::SpanKind::kRetry: ++r.retry; break;
-      case obs::SpanKind::kShed: ++r.shed; break;
-      case obs::SpanKind::kRun:
+      case obs::EventKind::kQueue: ++r.queue; break;
+      case obs::EventKind::kSeal: ++r.coalesce; break;
+      case obs::EventKind::kKernel: ++r.kernel; break;
+      case obs::EventKind::kRetry: ++r.retry; break;
+      case obs::EventKind::kShed: ++r.shed; break;
+      case obs::EventKind::kRun:
         ++r.run;
         r.degraded_run = r.degraded_run || ev.level > 0;
-        r.retried_run = r.retried_run || ev.retries > 0;
+        r.retried_run = r.retried_run || ev.attempt > 0;
         break;
       default: break;
     }
@@ -349,7 +348,7 @@ TraceScenario RunTraceScenario(const ModelDesc& model,
     std::fclose(mf);
   }
   // The operator-facing snapshot of the same eventful run: statusz
-  // (both renderings) and the flight-recorder ring, committed as CI
+  // (both renderings) and the event ring's flight JSON, committed as CI
   // artifacts next to the trace so reviewers can see what the dumps
   // look like after retries, sheds and a ladder walk.
   r.wrote_status = server.DumpStatus("BENCH_serving_statusz");
@@ -1027,25 +1026,20 @@ int Main(int argc, char** argv) {
                  obs.median_ratio, obs.enabled_rps, obs.disabled_rps);
     ok = false;
   }
-  // Span-census gates only apply when spans exist: at SHFLBW_OBS=0 the
-  // recorder compiles to a no-op and the dumped trace is (correctly)
-  // empty.
-  if constexpr (shflbw::obs::kCompiledIn) {
-    if (trace.queue == 0 || trace.coalesce == 0 || trace.kernel == 0 ||
-        trace.retry == 0 || trace.shed == 0 || trace.run == 0) {
-      std::fprintf(stderr, "FAIL: trace scenario missing a span kind "
-                   "(queue %zu, coalesce %zu, kernel %zu, retry %zu, "
-                   "shed %zu, run %zu)\n",
-                   trace.queue, trace.coalesce, trace.kernel, trace.retry,
-                   trace.shed, trace.run);
-      ok = false;
-    }
-    if (!trace.degraded_run || !trace.retried_run) {
-      std::fprintf(stderr, "FAIL: trace scenario lacks a %s run span\n",
-                   !trace.degraded_run ? "degraded (level > 0)"
-                                       : "retried (retries > 0)");
-      ok = false;
-    }
+  if (trace.queue == 0 || trace.coalesce == 0 || trace.kernel == 0 ||
+      trace.retry == 0 || trace.shed == 0 || trace.run == 0) {
+    std::fprintf(stderr, "FAIL: trace scenario missing a span kind "
+                 "(queue %zu, coalesce %zu, kernel %zu, retry %zu, "
+                 "shed %zu, run %zu)\n",
+                 trace.queue, trace.coalesce, trace.kernel, trace.retry,
+                 trace.shed, trace.run);
+    ok = false;
+  }
+  if (!trace.degraded_run || !trace.retried_run) {
+    std::fprintf(stderr, "FAIL: trace scenario lacks a %s run span\n",
+                 !trace.degraded_run ? "degraded (level > 0)"
+                                     : "retried (retries > 0)");
+    ok = false;
   }
   if (!trace.wrote_trace || !trace.wrote_metrics) {
     std::fprintf(stderr, "FAIL: could not write %s\n",

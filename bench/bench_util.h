@@ -31,9 +31,9 @@ inline std::string Cell(const std::optional<double>& v) {
 
 /// Emits the `"provenance": {...},` member every BENCH_*.json carries
 /// (called right after the opening `{ "bench": ... }` line): build sha,
-/// compiler, flags, SHFLBW_OBS state and the resolved thread count, so
-/// tools/benchdiff can label the two runs it compares and a regression
-/// report says what built each side. Keys under provenance never gate
+/// compiler, flags, the obs_compiled_in flag (always true) and the
+/// resolved thread count, so tools/benchdiff can label the two runs it
+/// compares and a regression report says what built each side. Keys under provenance never gate
 /// (benchdiff's default rules ignore them).
 inline void WriteProvenance(std::FILE* f) {
   const BuildInfo& bi = GetBuildInfo();

@@ -1,7 +1,5 @@
 #include "common/build_info.h"
 
-#include "obs/obs_config.h"
-
 // CMake stamps these three onto this file alone (see the
 // set_source_files_properties block in CMakeLists.txt); the fallbacks
 // keep the file buildable outside CMake (IDE indexers, tooling).
@@ -25,7 +23,6 @@ const BuildInfo& GetBuildInfo() {
     b.build_type = SHFLBW_BUILD_TYPE;
     b.cxx_flags = SHFLBW_CXX_FLAGS;
     b.cxx_standard = __cplusplus;
-    b.obs_compiled_in = obs::kCompiledIn;
     return b;
   }();
   return info;

@@ -16,7 +16,7 @@ struct BuildInfo {
   std::string build_type;  ///< CMAKE_BUILD_TYPE ("" for multi-config).
   std::string cxx_flags;   ///< CMAKE_CXX_FLAGS as configured.
   long cxx_standard = 0;   ///< __cplusplus of the build.
-  bool obs_compiled_in = false;  ///< SHFLBW_OBS state of this binary.
+  bool obs_compiled_in = true;  ///< Always true: telemetry is always built.
 };
 
 /// The process's build info; constructed once, immutable after.

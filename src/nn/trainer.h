@@ -1,7 +1,7 @@
 // Training / fine-tuning loop for the Table 1 pipeline:
 //   train dense -> prune with a pattern -> fine-tune with frozen masks ->
-//   measure test accuracy. Supports ADMM pre-regularization and
-//   grow-and-prune fine-tuning schedules (§6.1 pruning settings).
+//   measure test accuracy. Supports grow-and-prune fine-tuning
+//   schedules (§6.1 pruning settings).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Minimal JSON string escaping shared by the observability sinks
-// (flight recorder, statusz) and the bench JSON writers. Header-only
+// (event ring, statusz) and the bench JSON writers. Header-only
 // so bench/ can use it without linking anything beyond the library it
 // already links.
 #pragma once

@@ -1,27 +1,26 @@
 // The telemetry bundle one server (and its engines) share: a metrics
-// Registry, a TraceRecorder, and the runtime enable flags that sit on
-// top of the SHFLBW_OBS compile-time switch.
+// Registry, the event ring (obs/event_ring.h), and the runtime enable
+// flags.
 //
 // Ownership: BatchServer constructs one Telemetry from
 // ServerOptions::telemetry and hands a shared_ptr to every Engine
 // replica via EngineOptions::telemetry, so kernel spans and profiling
-// counters from a fused launch land in the same registry/trace as the
-// serving-side spans. A standalone Engine may also be given its own
-// Telemetry directly.
+// counters from a fused launch land in the same registry and ring as
+// the serving-side events. A standalone Engine may also be given its
+// own Telemetry directly.
 //
 // Cost model: with `metrics` off, histograms and kernel profiling are
 // skipped (counters/gauges — the ServerStats mechanism — stay live).
-// With `tracing` off (the default), span recording is skipped and the
-// ring buffer is never touched.
+// The ring always records the scheduler's decision points (one event
+// per submit, seal, launch, completion, retry, shed, shift, stall);
+// `tracing` (off by default) adds the per-request queue and run spans
+// and the per-layer kernel spans.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
-#include <memory>
 
-#include "obs/flight_recorder.h"
+#include "obs/event_ring.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace shflbw {
 namespace obs {
@@ -31,50 +30,41 @@ struct TelemetryOptions {
   /// Latency histograms + kernel profiling accumulation. Counters and
   /// gauges are unaffected — they back ServerStats.
   bool metrics = true;
-  /// Per-request span tracing into the ring buffer. Off by default:
-  /// tracing is an opt-in debugging/analysis surface.
+  /// Per-request queue/run spans and per-layer kernel spans in the
+  /// event ring. Off by default: tracing is an opt-in debugging and
+  /// analysis surface.
   bool tracing = false;
-  /// Span ring capacity; the trace keeps the first `trace_capacity`
-  /// spans of the run and drops the rest (TraceRecorder::dropped()).
-  std::size_t trace_capacity = 1 << 16;
-  /// Flight-recorder ring capacity (always-on postmortem buffer of the
-  /// last N scheduler events; see obs/flight_recorder.h).
-  std::size_t flight_capacity = FlightRecorder::kDefaultCapacity;
 };
 
 class Telemetry {
  public:
-  explicit Telemetry(const TelemetryOptions& options = {});
+  explicit Telemetry(const TelemetryOptions& options = {})
+      : metrics_(options.metrics), tracing_(options.tracing) {}
 
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
-  FlightRecorder& flight() { return flight_; }
-  const FlightRecorder& flight() const { return flight_; }
+  EventRing& events() { return events_; }
+  const EventRing& events() const { return events_; }
 
   /// True when histogram/profiling recording should happen.
-  bool metrics_on() const {
-    if constexpr (!kCompiledIn) return false;
-    return metrics_.load(std::memory_order_relaxed);
-  }
-  /// True when span recording should happen (folds in the compile-time
-  /// switch and the ring's runtime flag).
-  bool tracing_on() const { return trace_.enabled(); }
+  bool metrics_on() const { return metrics_.load(std::memory_order_relaxed); }
+  /// True when the traced-only spans should be recorded.
+  bool tracing_on() const { return tracing_.load(std::memory_order_relaxed); }
 
-  /// Runtime toggles, safe on a live server: every recording site
-  /// re-reads the flags per call, so metrics or tracing can be flipped
-  /// on to capture an incident window (or off to A/B the overhead)
-  /// without reconstructing engines. `set_tracing` forwards to the
-  /// ring's own flag; both are no-ops at SHFLBW_OBS=0.
+  /// Runtime toggles, safe on a live server: metrics or tracing can be
+  /// flipped on to capture an incident window (or off to A/B the
+  /// overhead) without reconstructing engines. Engines re-read both per
+  /// launch and a replica re-reads `tracing` per batch; the server's own
+  /// latency histograms follow `metrics` as it stood when the replica
+  /// threads started.
   void set_metrics(bool on) { metrics_.store(on, std::memory_order_relaxed); }
-  void set_tracing(bool on) { trace_.SetEnabled(kCompiledIn && on); }
+  void set_tracing(bool on) { tracing_.store(on, std::memory_order_relaxed); }
 
  private:
   std::atomic<bool> metrics_;
+  std::atomic<bool> tracing_;
   Registry registry_;
-  TraceRecorder trace_;
-  FlightRecorder flight_;
+  EventRing events_;
 };
 
 }  // namespace obs

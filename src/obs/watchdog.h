@@ -12,9 +12,9 @@
 // registries. A slot whose heartbeat is armed but older than the stall
 // budget opens a *stall episode*: the callback fires once, a counter
 // bumps once, and the episode closes only when the slot beats again
-// (or disarms). The BatchServer wires the callback to record a kStall
-// flight-recorder event and dump statusz + flight recorder to disk —
-// the postmortem pipeline of docs/OBSERVABILITY.md.
+// (or disarms). The BatchServer wires the callback to record a stall
+// event in its event ring and dump statusz + the ring's flight JSON to
+// disk — the postmortem pipeline of docs/OBSERVABILITY.md.
 //
 // False-positive discipline: a thread *disarms* before blocking on
 // work it legitimately waits for (an empty queue), so only armed

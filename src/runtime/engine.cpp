@@ -11,6 +11,27 @@
 
 namespace shflbw {
 namespace runtime {
+namespace {
+
+/// The traced kernel span of one fused layer launch.
+void RecordKernelSpan(obs::Telemetry& tel, const BatchContext& ctx,
+                      std::size_t layer, int width, double begin,
+                      double end, const LayerRunRecord& rec) {
+  obs::Event ev;
+  ev.kind = obs::EventKind::kKernel;
+  ev.begin_seconds = begin;
+  ev.end_seconds = end;
+  ev.batch_id = ctx.batch_id;
+  ev.replica = ctx.replica;
+  ev.level = ctx.level;
+  ev.layer = static_cast<std::int32_t>(layer);
+  ev.width = width;
+  ev.SetLabel(rec.name);
+  ev.SetLabel2(FormatName(rec.format));
+  tel.events().Record(ev);
+}
+
+}  // namespace
 
 Engine::Engine(ModelDesc model, EngineOptions opts)
     : Engine(std::move(model), opts, std::make_shared<PackedWeightCache>()) {}
@@ -296,20 +317,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
         if (lp.modeled_s > 0) m.drift->Set(per_request / lp.modeled_s);
       }
     }
-    if (tracing) {
-      obs::TraceEvent ev;
-      ev.kind = obs::SpanKind::kKernel;
-      ev.begin_seconds = t0;
-      ev.end_seconds = t1;
-      ev.batch_id = ctx.batch_id;
-      ev.replica = ctx.replica;
-      ev.level = ctx.level;
-      ev.layer = static_cast<std::int32_t>(i);
-      ev.width = width;
-      ev.SetLabel(rec.name);
-      ev.SetLabel2(FormatName(lp.format));
-      tel->trace().Record(ev);
-    }
+    if (tracing) RecordKernelSpan(*tel, ctx, i, width, t0, t1, rec);
     result.layers.push_back(std::move(rec));
 
     // Stream this layer's output into the next layer's input at unit

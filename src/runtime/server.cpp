@@ -295,49 +295,42 @@ void BatchServer::Warmup() {
   for (std::future<Response>& f : futs) (void)f.get();
 }
 
-std::future<Response> BatchServer::Enqueue(Request req, int force_level) {
+std::future<Response> BatchServer::Enqueue(Request req, int force_level,
+                                           double begin) {
   Pending p;
   p.req = req;
   p.id = next_id_++;
   p.submit_time = NowSeconds();
   p.force_level = force_level;
   std::future<Response> fut = p.promise.get_future();
-  const std::uint64_t id = p.id;
-  const double submit_time = p.submit_time;
+  obs::Event ev;
+  ev.kind = obs::EventKind::kSubmit;
+  ev.begin_seconds = begin;
+  ev.end_seconds = p.submit_time;
+  ev.request_id = p.id;
   queue_.push_back(std::move(p));
   c_submitted_->Add();
   g_queue_depth_->Set(static_cast<double>(queue_.size()));
-  obs::FlightEvent fe;
-  fe.kind = obs::FlightKind::kSubmit;
-  fe.t_seconds = submit_time;
-  fe.request_id = id;
-  fe.detail = static_cast<std::int32_t>(queue_.size());
-  telemetry_->flight().Record(fe);
+  ev.detail = static_cast<std::int32_t>(queue_.size());
+  telemetry_->events().Record(ev);
   return fut;
 }
 
-void BatchServer::TraceAdmission(double begin, std::uint64_t id,
-                                 SubmitStatus verdict) {
-  if (verdict != SubmitStatus::kAccepted) {
-    // Rejections go to the always-on flight ring (accepted submits are
-    // covered by Enqueue's kSubmit event).
-    obs::FlightEvent fe;
-    fe.kind = obs::FlightKind::kReject;
-    fe.t_seconds = NowSeconds();
-    fe.request_id = id;
-    fe.detail = static_cast<std::int32_t>(verdict);
-    fe.SetLabel(SubmitStatusName(verdict));
-    telemetry_->flight().Record(fe);
-  }
-  if (!telemetry_->tracing_on()) return;
-  obs::TraceEvent ev;
-  ev.kind = obs::SpanKind::kAdmission;
+SubmitStatus BatchServer::Reject(double begin, SubmitStatus verdict) {
+  obs::Counter* counter =
+      verdict == SubmitStatus::kRejectedQueueFull ? c_rejected_queue_full_
+      : verdict == SubmitStatus::kRejectedInfeasibleDeadline
+          ? c_rejected_deadline_
+          : c_rejected_shutdown_;
+  counter->Add();
+  obs::Event ev;
+  ev.kind = obs::EventKind::kReject;
   ev.begin_seconds = begin;
   ev.end_seconds = NowSeconds();
-  ev.request_id = id;
   ev.detail = static_cast<std::int32_t>(verdict);
   ev.SetLabel(SubmitStatusName(verdict));
-  telemetry_->trace().Record(ev);
+  telemetry_->events().Record(ev);
+  return verdict;
 }
 
 SubmitStatus BatchServer::Submit(Request req, std::future<Response>* out) {
@@ -350,21 +343,14 @@ SubmitStatus BatchServer::Submit(Request req, std::future<Response>* out) {
   if (stop_) {
     // Includes producers that were blocked on a full queue when
     // Shutdown ran: they wake here with a typed rejection, never hang.
-    c_rejected_shutdown_->Add();
-    TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedShutdown);
-    return SubmitStatus::kRejectedShutdown;
+    return Reject(begin, SubmitStatus::kRejectedShutdown);
   }
   if (!admission_.DeadlineFeasible(req.qos, req.deadline_seconds,
                                    queue_.size())) {
-    c_rejected_deadline_->Add();
-    TraceAdmission(begin, obs::kNoId,
-                   SubmitStatus::kRejectedInfeasibleDeadline);
-    return SubmitStatus::kRejectedInfeasibleDeadline;
+    return Reject(begin, SubmitStatus::kRejectedInfeasibleDeadline);
   }
-  *out = Enqueue(req, /*force_level=*/-1);
-  const std::uint64_t id = next_id_ - 1;
+  *out = Enqueue(req, /*force_level=*/-1, begin);
   lock.Unlock();
-  TraceAdmission(begin, id, SubmitStatus::kAccepted);
   not_empty_.NotifyOne();
   return SubmitStatus::kAccepted;
 }
@@ -380,32 +366,20 @@ std::future<Response> BatchServer::Submit(Request req) {
 
 SubmitStatus BatchServer::TrySubmit(Request req, std::future<Response>* out) {
   const double begin = NowSeconds();
-  std::uint64_t id = obs::kNoId;
   {
     MutexLock lock(mu_);
-    if (stop_) {
-      c_rejected_shutdown_->Add();
-      TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedShutdown);
-      return SubmitStatus::kRejectedShutdown;
-    }
+    if (stop_) return Reject(begin, SubmitStatus::kRejectedShutdown);
     const std::size_t cap =
         admission_.CapacityFor(req.qos, opts_.queue_capacity);
     if (queue_.size() >= cap) {
-      c_rejected_queue_full_->Add();
-      TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedQueueFull);
-      return SubmitStatus::kRejectedQueueFull;
+      return Reject(begin, SubmitStatus::kRejectedQueueFull);
     }
     if (!admission_.DeadlineFeasible(req.qos, req.deadline_seconds,
                                      queue_.size())) {
-      c_rejected_deadline_->Add();
-      TraceAdmission(begin, obs::kNoId,
-                     SubmitStatus::kRejectedInfeasibleDeadline);
-      return SubmitStatus::kRejectedInfeasibleDeadline;
+      return Reject(begin, SubmitStatus::kRejectedInfeasibleDeadline);
     }
-    *out = Enqueue(req, /*force_level=*/-1);
-    id = next_id_ - 1;
+    *out = Enqueue(req, /*force_level=*/-1, begin);
   }
-  TraceAdmission(begin, id, SubmitStatus::kAccepted);
   not_empty_.NotifyOne();
   return SubmitStatus::kAccepted;
 }
@@ -414,12 +388,13 @@ std::future<Response> BatchServer::SubmitInternal(Request req,
                                                   int force_level) {
   // Warmup path: blocking, full queue share, no admission checks (the
   // request is the server's own and carries no deadline).
+  const double begin = NowSeconds();
   UniqueLock lock(mu_);
   not_full_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
     return stop_ || queue_.size() < opts_.queue_capacity;
   });
   SHFLBW_CHECK_MSG(!stop_, "BatchServer: warmup after shutdown");
-  std::future<Response> fut = Enqueue(req, force_level);
+  std::future<Response> fut = Enqueue(req, force_level, begin);
   lock.Unlock();
   not_empty_.NotifyOne();
   return fut;
@@ -521,383 +496,321 @@ std::string BatchServer::MetricsText() const {
 }
 
 bool BatchServer::DumpTrace(const std::string& path) const {
-  return telemetry_->trace().DumpChromeTrace(path);
+  return telemetry_->events().DumpChromeTrace(path);
+}
+
+obs::Event BatchServer::BatchEvent(obs::EventKind kind, double begin,
+                                   double end, const SealedBatch& b) {
+  obs::Event ev;
+  ev.kind = kind;
+  ev.begin_seconds = begin;
+  ev.end_seconds = end;
+  ev.batch_id = b.id;
+  ev.replica = b.replica;
+  ev.level = b.level;
+  ev.width = static_cast<std::int32_t>(b.live.size());
+  return ev;
+}
+
+obs::Event BatchServer::RequestEvent(obs::EventKind kind, double begin,
+                                     double end, const Pending& p,
+                                     const SealedBatch& b) {
+  obs::Event ev = BatchEvent(kind, begin, end, b);
+  ev.request_id = p.id;
+  ev.width = 0;
+  return ev;
 }
 
 void BatchServer::ReplicaLoop(int replica) {
-  auto& level_engines = engines_[static_cast<std::size_t>(replica)];
-  const std::size_t max_batch =
-      static_cast<std::size_t>(std::max(1, opts_.max_batch));
   const bool metrics = telemetry_->metrics_on();
   // Heartbeat discipline: armed whenever this thread owns work (from
   // wait-return to batch retirement), disarmed while it legitimately
   // blocks on an empty queue — so armed silence is always a stall.
   const int hb = heartbeats_.Register("replica" + std::to_string(replica));
   UniqueLock lock(mu_);
+  std::optional<double> window_begin;
+  while (AwaitWork(hb, &window_begin)) {
+    SealedBatch b = Seal(replica, window_begin);
+    lock.Unlock();
+    heartbeats_.Beat(hb, NowSeconds());
+    PublishSeal(b);
+    Shed(b, metrics);
+    LaunchOutcome out;
+    if (!b.live.empty()) {
+      out = Launch(hb, b);
+      Respond(b, out, metrics);
+      heartbeats_.Beat(hb, out.done);
+    }
+    lock.Lock();
+    Retire(b, out);
+  }
+  heartbeats_.Unregister(hb);
+}
+
+bool BatchServer::AwaitWork(int hb, std::optional<double>* window_begin) {
+  // A batch seals at max_batch, clamped to the queue capacity: with a
+  // bounded queue shorter than max_batch, Submit blocks at capacity, so
+  // a capacity-full queue is as fused as this server can get and must
+  // launch rather than stall out the whole window.
+  const std::size_t seal = std::min(
+      static_cast<std::size_t>(std::max(1, opts_.max_batch)),
+      opts_.queue_capacity);
   for (;;) {
     heartbeats_.Disarm(hb);
-    not_empty_.Wait(mu_,
-                    [&]() SHFLBW_REQUIRES(mu_) { return stop_ || !queue_.empty(); });
+    not_empty_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
+      return stop_ || !queue_.empty();
+    });
     heartbeats_.Arm(hb, NowSeconds());
     // Drain-on-shutdown: keep serving until the queue is empty, so
     // every future obtained from Submit resolves.
-    if (queue_.empty()) {  // implies stop_
-      heartbeats_.Unregister(hb);
-      return;
-    }
+    if (queue_.empty()) return false;  // implies stop_
     // Coalescing window: hold a partial batch open briefly so closely
     // spaced requests fuse into one launch. Bounded (fairness — the
     // oldest request pays at most the window on top of its queue wait)
-    // and cut short by shutdown or a sealed batch. A batch seals at
-    // max_batch, clamped to the queue capacity: with a bounded queue
-    // shorter than max_batch, Submit blocks at capacity, so a
-    // capacity-full queue is as fused as this server can get and must
-    // launch rather than stall out the whole window. The queue can
-    // have been emptied by a sibling replica when the wait returns, so
-    // re-loop rather than assume work remains. Forced (warmup)
-    // requests skip the window: they run alone, immediately.
-    const std::size_t seal = std::min(max_batch, opts_.queue_capacity);
-    const double window_start = NowSeconds();
-    bool windowed = false;
+    // and cut short by shutdown or a sealed batch. The queue can have
+    // been emptied by a sibling replica when the wait returns, so wait
+    // again rather than assume work remains. Forced (warmup) requests
+    // skip the window: they run alone, immediately.
+    window_begin->reset();
     if (opts_.coalesce_window_seconds > 0 && !stop_ &&
         queue_.front().force_level < 0 && queue_.size() < seal) {
-      windowed = true;
+      const double start = NowSeconds();
       not_empty_.WaitFor(mu_, opts_.coalesce_window_seconds,
                          [&]() SHFLBW_REQUIRES(mu_) {
                            return stop_ || queue_.size() >= seal;
                          });
       heartbeats_.Beat(hb, NowSeconds());
       if (queue_.empty()) continue;
+      *window_begin = start;
     }
+    return true;
+  }
+}
 
-    // Seal the batch: the K oldest requests, FIFO submission order.
-    // Deadline-expired requests (except kCritical) are shed here — they
-    // resolve with kDeadlineExceeded instead of occupying a width slot
-    // in the fused launch, so the launch carries only live work. A
-    // forced (warmup) request always runs alone at its pinned level: it
-    // exists to pack one level's weights, and fusing user traffic into
-    // it would serve that traffic at a level the controller never
-    // chose.
-    const double seal_time = NowSeconds();
-    const std::size_t depth_at_seal = queue_.size();
-    std::vector<Pending> batch;
-    std::vector<Pending> dropped;
-    int level = 0;
-    if (queue_.front().force_level >= 0) {
-      level = queue_.front().force_level;
-      batch.push_back(std::move(queue_.front()));
+BatchServer::SealedBatch BatchServer::Seal(
+    int replica, std::optional<double> window_begin) {
+  // The K oldest requests, FIFO submission order. Deadline-expired
+  // requests (except kCritical) are shed here — they resolve with
+  // kDeadlineExceeded instead of occupying a width slot in the fused
+  // launch, so the launch carries only live work. A forced (warmup)
+  // request always runs alone at its pinned level: it exists to pack
+  // one level's weights, and fusing user traffic into it would serve
+  // that traffic at a level the controller never chose.
+  const std::size_t max_batch =
+      static_cast<std::size_t>(std::max(1, opts_.max_batch));
+  SealedBatch b;
+  b.id = next_batch_id_++;
+  b.replica = replica;
+  b.seal_time = NowSeconds();
+  b.window_begin = window_begin.value_or(b.seal_time);
+  const std::size_t depth_at_seal = queue_.size();
+  if (queue_.front().force_level >= 0) {
+    b.level = queue_.front().force_level;
+    b.live.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  } else {
+    while (!queue_.empty() && b.live.size() < max_batch &&
+           queue_.front().force_level < 0) {
+      Pending p = std::move(queue_.front());
       queue_.pop_front();
-    } else {
-      while (!queue_.empty() && batch.size() < max_batch &&
-             queue_.front().force_level < 0) {
-        Pending p = std::move(queue_.front());
-        queue_.pop_front();
-        const bool expired = p.req.deadline_seconds > 0 &&
-                             p.req.qos != QoS::kCritical &&
-                             seal_time - p.submit_time > p.req.deadline_seconds;
-        (expired ? dropped : batch).push_back(std::move(p));
-      }
-      // The controller observes every seal (even an all-shed one — a
-      // queue full of dead work is the strongest pressure signal there
-      // is) and picks the level this batch runs at.
-      level = controller_.OnSeal(depth_at_seal, opts_.queue_capacity);
-      if (controller_.level() != last_observed_level_) {
-        // The shared controller moved on this seal: flight-record the
-        // shift (old level in detail, new level in the level field).
-        obs::FlightEvent fe;
-        fe.kind = obs::FlightKind::kShift;
-        fe.t_seconds = seal_time;
-        fe.replica = static_cast<std::int8_t>(replica);
-        fe.level = static_cast<std::int16_t>(controller_.level());
-        fe.detail = last_observed_level_;
-        telemetry_->flight().Record(fe);
-        last_observed_level_ = controller_.level();
-      }
+      const bool expired =
+          p.req.deadline_seconds > 0 && p.req.qos != QoS::kCritical &&
+          b.seal_time - p.submit_time > p.req.deadline_seconds;
+      (expired ? b.dropped : b.live).push_back(std::move(p));
     }
-    const std::size_t take = batch.size();
-    const std::uint64_t batch_id = next_batch_id_++;
-    g_queue_depth_->Set(static_cast<double>(queue_.size()));
-    g_level_->Set(controller_.level());
-    lock.Unlock();
-    heartbeats_.Beat(hb, NowSeconds());
-    {
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kSeal;
-      fe.t_seconds = seal_time;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      fe.detail = static_cast<std::int32_t>(dropped.size());
-      fe.detail2 = static_cast<std::int32_t>(depth_at_seal);
-      telemetry_->flight().Record(fe);
+    // The controller observes every seal (even an all-shed one — a
+    // queue full of dead work is the strongest pressure signal there
+    // is) and picks the level this batch runs at.
+    b.level = controller_.OnSeal(depth_at_seal, opts_.queue_capacity);
+    if (b.level != last_observed_level_) {
+      // The shared controller moved on this seal: old level in detail.
+      obs::Event ev =
+          BatchEvent(obs::EventKind::kShift, b.seal_time, b.seal_time, b);
+      ev.detail = last_observed_level_;
+      telemetry_->events().Record(ev);
+      last_observed_level_ = b.level;
     }
-    // Freed slots: wake every blocked Submit, not just one.
-    if (take + dropped.size() > 1) {
-      not_full_.NotifyAll();
-    } else {
-      not_full_.NotifyOne();
-    }
+  }
+  g_queue_depth_->Set(static_cast<double>(queue_.size()));
+  g_level_->Set(controller_.level());
+  return b;
+}
 
-    const bool tracing = telemetry_->tracing_on();
-    if (tracing) {
-      // Queue spans of everything this seal consumed, a coalesce span
-      // when the replica actually held the window open, and a shed
-      // span per deadline-expired drop.
-      obs::TraceEvent base;
-      base.batch_id = batch_id;
-      base.replica = replica;
-      base.level = level;
-      if (windowed) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kCoalesce;
-        ev.begin_seconds = window_start;
-        ev.end_seconds = seal_time;
-        ev.width = static_cast<std::int32_t>(take);
-        telemetry_->trace().Record(ev);
-      }
-      for (const Pending& p : batch) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kQueue;
-        ev.begin_seconds = p.submit_time;
-        ev.end_seconds = seal_time;
-        ev.request_id = p.id;
-        telemetry_->trace().Record(ev);
-      }
-      for (const Pending& p : dropped) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kQueue;
-        ev.begin_seconds = p.submit_time;
-        ev.end_seconds = seal_time;
-        ev.request_id = p.id;
-        telemetry_->trace().Record(ev);
-        ev.kind = obs::SpanKind::kShed;
-        ev.begin_seconds = seal_time;
-        ev.end_seconds = NowSeconds();
-        ev.detail = 1;
-        telemetry_->trace().Record(ev);
-      }
+void BatchServer::PublishSeal(SealedBatch& b) {
+  obs::Event ev =
+      BatchEvent(obs::EventKind::kSeal, b.window_begin, b.seal_time, b);
+  ev.detail = static_cast<std::int32_t>(b.dropped.size());
+  telemetry_->events().Record(ev);
+  // Freed slots: wake every blocked Submit, not just one.
+  if (b.live.size() + b.dropped.size() > 1) {
+    not_full_.NotifyAll();
+  } else {
+    not_full_.NotifyOne();
+  }
+  b.traced = telemetry_->tracing_on();
+  if (!b.traced) return;
+  for (const std::vector<Pending>* part : {&b.live, &b.dropped}) {
+    for (const Pending& p : *part) {
+      telemetry_->events().Record(RequestEvent(
+          obs::EventKind::kQueue, p.submit_time, b.seal_time, p, b));
     }
+  }
+}
 
-    // Resolve shed promises before the counters are bumped under
-    // relock, so Drain returning implies every future is ready.
-    for (Pending& p : dropped) {
-      Response resp;
-      resp.id = p.id;
-      resp.status = ResponseStatus::kDeadlineExceeded;
-      resp.replica = replica;
-      resp.batch_width = 0;
-      resp.plan_level = level;
-      resp.queue_seconds = seal_time - p.submit_time;
-      if (metrics) h_queue_seconds_->Record(resp.queue_seconds);
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kShed;
-      fe.t_seconds = seal_time;
-      fe.request_id = p.id;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.value = resp.queue_seconds;
-      telemetry_->flight().Record(fe);
-      p.promise.set_value(std::move(resp));
-    }
+void BatchServer::Shed(SealedBatch& b, bool metrics) {
+  // Shed promises resolve before the counters are bumped under relock,
+  // so Drain returning implies every future is ready.
+  for (Pending& p : b.dropped) {
+    Response resp;
+    resp.id = p.id;
+    resp.status = ResponseStatus::kDeadlineExceeded;
+    resp.replica = b.replica;
+    resp.batch_width = 0;
+    resp.plan_level = b.level;
+    resp.queue_seconds = b.seal_time - p.submit_time;
+    if (metrics) h_queue_seconds_->Record(resp.queue_seconds);
+    telemetry_->events().Record(RequestEvent(
+        obs::EventKind::kShed, b.seal_time, NowSeconds(), p, b));
+    p.promise.set_value(std::move(resp));
+  }
+}
 
-    if (batch.empty()) {
-      lock.Lock();
-      shed_ += dropped.size();
-      c_shed_->Add(static_cast<double>(dropped.size()));
-      if (completed_ + shed_ == next_id_) idle_.NotifyAll();
-      continue;
-    }
-
-    // queue_seconds stops here — coalesce time — for every request in
-    // the batch; run_seconds covers the fused launch (including any
-    // retries), so the split still sums to submit-to-completion per
-    // request.
-    Engine& engine = *level_engines[static_cast<std::size_t>(level)];
-    const double dispatch_time = seal_time;
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(take);
-    for (const Pending& p : batch) seeds.push_back(p.req.activation_seed);
-    BatchContext ctx;
-    ctx.batch_id = batch_id;
-    ctx.replica = replica;
-    ctx.level = level;
-    {
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kLaunch;
-      fe.t_seconds = dispatch_time;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      telemetry_->flight().Record(fe);
-    }
-    int attempts = 0;
-    bool batch_failed = false;
-    double done = dispatch_time;
-    // Start of the attempt that ultimately succeeds: everything before
-    // it (failed attempts + backoff sleeps) is retry overhead, reported
-    // separately so queue + retry + run == submit-to-completion exactly
-    // even for retried launches.
-    double final_attempt_start = dispatch_time;
-    try {
-      // Bounded retry-with-backoff on transient faults (injected or
-      // backend-raised). A failed launch leaves the cache and the
-      // engine's streaming state unmodified — the injector fires before
-      // any mutation — so a retry is a clean re-execution and the
-      // eventual output is bit-identical to an unfaulted run.
-      // Non-transient errors propagate immediately.
-      BatchRunResult run;
-      for (;;) {
-        try {
-          run = engine.RunBatched(seeds, ctx);
-          break;
-        } catch (const TransientFault&) {
-          if (attempts >= opts_.retry.max_retries) throw;
-          const double fail_time = NowSeconds();
-          const double backoff =
-              opts_.retry.backoff_seconds *
-              std::pow(opts_.retry.backoff_multiplier, attempts);
-          if (backoff > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff));
-          }
-          ++attempts;
-          final_attempt_start = NowSeconds();
-          heartbeats_.Beat(hb, final_attempt_start);
-          {
-            obs::FlightEvent fe;
-            fe.kind = obs::FlightKind::kRetry;
-            fe.t_seconds = fail_time;
-            fe.batch_id = batch_id;
-            fe.replica = static_cast<std::int8_t>(replica);
-            fe.level = static_cast<std::int16_t>(level);
-            fe.width = static_cast<std::int32_t>(take);
-            fe.detail = attempts;
-            telemetry_->flight().Record(fe);
-          }
-          if (tracing) {
-            obs::TraceEvent ev;
-            ev.kind = obs::SpanKind::kRetry;
-            ev.begin_seconds = fail_time;
-            ev.end_seconds = final_attempt_start;
-            ev.batch_id = batch_id;
-            ev.replica = replica;
-            ev.level = level;
-            ev.width = static_cast<std::int32_t>(take);
-            ev.attempt = attempts;
-            telemetry_->trace().Record(ev);
-          }
+BatchServer::LaunchOutcome BatchServer::Launch(int hb, const SealedBatch& b) {
+  Engine& engine = *engines_[static_cast<std::size_t>(b.replica)]
+                            [static_cast<std::size_t>(b.level)];
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(b.live.size());
+  for (const Pending& p : b.live) seeds.push_back(p.req.activation_seed);
+  BatchContext ctx;
+  ctx.batch_id = b.id;
+  ctx.replica = b.replica;
+  ctx.level = b.level;
+  telemetry_->events().Record(
+      BatchEvent(obs::EventKind::kLaunch, b.seal_time, b.seal_time, b));
+  LaunchOutcome out;
+  out.final_attempt_start = b.seal_time;
+  try {
+    // Bounded retry-with-backoff on transient faults (injected or
+    // backend-raised). A failed launch leaves the cache and the
+    // engine's streaming state unmodified — the injector fires before
+    // any mutation — so a retry is a clean re-execution and the
+    // eventual output is bit-identical to an unfaulted run.
+    // Non-transient errors propagate immediately.
+    for (;;) {
+      try {
+        out.run = engine.RunBatched(seeds, ctx);
+        break;
+      } catch (const TransientFault&) {
+        if (out.attempts >= opts_.retry.max_retries) throw;
+        const double fail_time = NowSeconds();
+        const double backoff =
+            opts_.retry.backoff_seconds *
+            std::pow(opts_.retry.backoff_multiplier, out.attempts);
+        if (backoff > 0) {
+          std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
         }
-      }
-      done = NowSeconds();
-      const double retry_s = final_attempt_start - dispatch_time;
-      const double run_s = done - final_attempt_start;
-      {
-        obs::FlightEvent fe;
-        fe.kind = obs::FlightKind::kComplete;
-        fe.t_seconds = done;
-        fe.batch_id = batch_id;
-        fe.replica = static_cast<std::int8_t>(replica);
-        fe.level = static_cast<std::int16_t>(level);
-        fe.width = static_cast<std::int32_t>(take);
-        fe.detail = attempts;
-        fe.value = run_s;
-        telemetry_->flight().Record(fe);
-      }
-      if (metrics) {
-        h_batch_width_->Record(static_cast<double>(take));
-        h_run_seconds_->Record(run_s);
-        if (attempts > 0) h_retry_seconds_->Record(retry_s);
-      }
-      for (std::size_t i = 0; i < take; ++i) {
-        Pending& p = batch[i];
-        Response resp;
-        resp.id = p.id;
-        resp.replica = replica;
-        resp.batch_width = static_cast<int>(take);
-        resp.plan_level = level;
-        resp.retained_ratio = level_ratios_[static_cast<std::size_t>(level)];
-        resp.retries = attempts;
-        resp.queue_seconds = dispatch_time - p.submit_time;
-        resp.retry_seconds = retry_s;
-        resp.run_seconds = run_s;
-        resp.packs_performed = run.packs_performed;
-        resp.output = std::move(run.outputs[i]);
-        if (metrics) {
-          h_queue_seconds_->Record(resp.queue_seconds);
-          h_total_seconds_->Record(done - p.submit_time);
-        }
-        if (tracing) {
-          obs::TraceEvent ev;
-          ev.kind = obs::SpanKind::kRun;
-          ev.begin_seconds = dispatch_time;
-          ev.end_seconds = done;
-          ev.request_id = p.id;
-          ev.batch_id = batch_id;
-          ev.replica = replica;
-          ev.level = level;
-          ev.width = static_cast<std::int32_t>(take);
-          ev.retries = attempts;
-          telemetry_->trace().Record(ev);
-        }
-        p.promise.set_value(std::move(resp));
-      }
-    } catch (...) {
-      batch_failed = true;
-      done = NowSeconds();
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kComplete;
-      fe.t_seconds = done;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      fe.detail = attempts;
-      fe.SetLabel("error");
-      telemetry_->flight().Record(fe);
-      for (Pending& p : batch) {
-        p.promise.set_exception(std::current_exception());
+        ++out.attempts;
+        out.final_attempt_start = NowSeconds();
+        heartbeats_.Beat(hb, out.final_attempt_start);
+        obs::Event ev = BatchEvent(obs::EventKind::kRetry, fail_time,
+                                   out.final_attempt_start, b);
+        ev.attempt = out.attempts;
+        telemetry_->events().Record(ev);
       }
     }
-    heartbeats_.Beat(hb, done);
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+  out.done = NowSeconds();
+  obs::Event ev = BatchEvent(obs::EventKind::kComplete,
+                             out.final_attempt_start, out.done, b);
+  ev.attempt = out.attempts;
+  if (out.error) ev.SetLabel("error");
+  telemetry_->events().Record(ev);
+  return out;
+}
 
-    lock.Lock();
-    // Retire the whole batch (served and shed together) under one lock
-    // hold, atomically with the idle_ notification Drain waits on. The
-    // protocol counters and their registry mirrors move together.
-    completed_ += take;
-    shed_ += dropped.size();
+void BatchServer::Respond(SealedBatch& b, LaunchOutcome& out, bool metrics) {
+  if (out.error) {
+    for (Pending& p : b.live) p.promise.set_exception(out.error);
+    return;
+  }
+  // queue_seconds stops at the seal for every request in the batch;
+  // retry_seconds covers the failed attempts and backoff sleeps, and
+  // run_seconds the attempt that succeeded, so the split sums to
+  // submit-to-completion exactly, retried or not.
+  const std::size_t take = b.live.size();
+  const double retry_s = out.final_attempt_start - b.seal_time;
+  const double run_s = out.done - out.final_attempt_start;
+  if (metrics) {
+    h_batch_width_->Record(static_cast<double>(take));
+    h_run_seconds_->Record(run_s);
+    if (out.attempts > 0) h_retry_seconds_->Record(retry_s);
+  }
+  for (std::size_t i = 0; i < take; ++i) {
+    Pending& p = b.live[i];
+    Response resp;
+    resp.id = p.id;
+    resp.replica = b.replica;
+    resp.batch_width = static_cast<int>(take);
+    resp.plan_level = b.level;
+    resp.retained_ratio = level_ratios_[static_cast<std::size_t>(b.level)];
+    resp.retries = out.attempts;
+    resp.queue_seconds = b.seal_time - p.submit_time;
+    resp.retry_seconds = retry_s;
+    resp.run_seconds = run_s;
+    resp.packs_performed = out.run.packs_performed;
+    resp.output = std::move(out.run.outputs[i]);
+    if (metrics) {
+      h_queue_seconds_->Record(resp.queue_seconds);
+      h_total_seconds_->Record(out.done - p.submit_time);
+    }
+    if (b.traced) {
+      obs::Event ev =
+          RequestEvent(obs::EventKind::kRun, b.seal_time, out.done, p, b);
+      ev.width = static_cast<std::int32_t>(take);
+      ev.attempt = out.attempts;
+      telemetry_->events().Record(ev);
+    }
+    p.promise.set_value(std::move(resp));
+  }
+}
+
+void BatchServer::Retire(const SealedBatch& b, const LaunchOutcome& out) {
+  // The whole batch (served and shed together) retires under one lock
+  // hold, atomically with the idle_ notification Drain waits on. The
+  // protocol counters and their registry mirrors move together.
+  const std::size_t take = b.live.size();
+  completed_ += take;
+  shed_ += b.dropped.size();
+  if (!b.dropped.empty()) c_shed_->Add(static_cast<double>(b.dropped.size()));
+  if (take > 0) {
     c_completed_->Add(static_cast<double>(take));
-    if (!dropped.empty()) c_shed_->Add(static_cast<double>(dropped.size()));
-    if (attempts > 0) c_retries_->Add(attempts);
-    c_per_replica_[static_cast<std::size_t>(replica)]->Add(
+    if (out.attempts > 0) c_retries_->Add(out.attempts);
+    c_per_replica_[static_cast<std::size_t>(b.replica)]->Add(
         static_cast<double>(take));
-    c_per_level_[static_cast<std::size_t>(level)]->Add(
+    c_per_level_[static_cast<std::size_t>(b.level)]->Add(
         static_cast<double>(take));
-    if (batch_failed) {
+    if (out.error) {
       c_failed_->Add(static_cast<double>(take));
-    } else {
+    } else if (b.live.front().force_level < 0) {
       // Feed the control plane: the admission EWMA learns per-request
       // service time from the fused launch (one observation per
       // launch), the degradation controller sees every deadline-
       // carrying completion's latency/deadline ratio. Warmup (forced)
       // batches are excluded — they measure pack latency, not
       // steady-state service.
-      if (batch.front().force_level < 0) {
-        admission_.RecordServiceTime((done - dispatch_time) /
-                                     static_cast<double>(take));
-        for (const Pending& p : batch) {
-          if (p.req.deadline_seconds > 0) {
-            controller_.RecordCompletion(done - p.submit_time,
-                                         p.req.deadline_seconds);
-          }
+      admission_.RecordServiceTime((out.done - b.seal_time) /
+                                   static_cast<double>(take));
+      for (const Pending& p : b.live) {
+        if (p.req.deadline_seconds > 0) {
+          controller_.RecordCompletion(out.done - p.submit_time,
+                                       p.req.deadline_seconds);
         }
       }
     }
-    if (completed_ + shed_ == next_id_) idle_.NotifyAll();
   }
+  if (completed_ + shed_ == next_id_) idle_.NotifyAll();
 }
 
 namespace {
@@ -923,13 +836,24 @@ std::string GaugeCell(const obs::Registry& reg, const std::string& name) {
   return g == nullptr ? std::string("-") : FmtDouble(g->Value());
 }
 
-}  // namespace
+/// The server state statusz reads under the queue mutex.
+struct StatusInputs {
+  ServerStats stats;
+  std::size_t depth = 0;
+  double p99_ratio = -1;
+  std::string last_stall;
+  double last_stall_age = 0;
+  bool watchdog_running = false;
+  double stalls = 0;
+  double now = 0;
+  double uptime = 0;
+};
 
-obs::StatusReport BatchServer::Status() const {
-  obs::StatusReport report;
-  report.title = "shflbw batch server";
-  const double now = NowSeconds();
-
+/// build, server and ladder sections.
+void AddServingSections(const BatchServer& server, const StatusInputs& in,
+                        obs::StatusReport& report) {
+  const ServerOptions& opts = server.options();
+  const ServerStats& stats = in.stats;
   {
     const BuildInfo& bi = GetBuildInfo();
     obs::StatusSection& s = report.AddSection("build");
@@ -940,41 +864,21 @@ obs::StatusReport BatchServer::Status() const {
     s.AddNumber("cxx_standard", static_cast<double>(bi.cxx_standard));
     s.AddNumber("obs_compiled_in", bi.obs_compiled_in ? 1 : 0);
     s.AddNumber("threads", ParallelThreadCount());
-    s.AddNumber("uptime_seconds", now - start_seconds_);
+    s.AddNumber("uptime_seconds", in.uptime);
   }
-
-  // Stats() takes mu_ itself; the second short hold picks up the bits
-  // the snapshot struct doesn't carry. Everything after reads lock-free
-  // obs state or coarser-ranked locks (cache is rank 30 > server 20,
-  // taken with mu_ released).
-  const ServerStats stats = Stats();
-  std::size_t depth = 0;
-  double p99_ratio = -1;
-  std::string last_stall;
-  double last_stall_age = 0;
-  bool watchdog_running = false;
-  {
-    MutexLock lock(mu_);
-    depth = queue_.size();
-    p99_ratio = controller_.WindowP99Ratio();
-    last_stall = last_stall_;
-    last_stall_age = last_stall_age_;
-    watchdog_running = watchdog_ != nullptr;
-  }
-
   {
     obs::StatusSection& s = report.AddSection("server");
-    s.AddNumber("replicas", replicas());
-    s.AddNumber("levels", levels());
-    s.AddNumber("queue_depth", static_cast<double>(depth));
-    s.AddNumber("queue_capacity", static_cast<double>(opts_.queue_capacity));
+    s.AddNumber("replicas", server.replicas());
+    s.AddNumber("levels", server.levels());
+    s.AddNumber("queue_depth", static_cast<double>(in.depth));
+    s.AddNumber("queue_capacity", static_cast<double>(opts.queue_capacity));
     s.AddNumber("queue_occupancy",
-                opts_.queue_capacity > 0
-                    ? static_cast<double>(depth) /
-                          static_cast<double>(opts_.queue_capacity)
+                opts.queue_capacity > 0
+                    ? static_cast<double>(in.depth) /
+                          static_cast<double>(opts.queue_capacity)
                     : 0.0);
-    s.AddNumber("max_batch", opts_.max_batch);
-    s.AddNumber("coalesce_window_seconds", opts_.coalesce_window_seconds);
+    s.AddNumber("max_batch", opts.max_batch);
+    s.AddNumber("coalesce_window_seconds", opts.coalesce_window_seconds);
     s.AddNumber("submitted", static_cast<double>(stats.submitted));
     s.AddNumber("completed", static_cast<double>(stats.completed));
     s.AddNumber("shed", static_cast<double>(stats.shed));
@@ -988,55 +892,58 @@ obs::StatusReport BatchServer::Status() const {
     s.AddNumber("failed", static_cast<double>(stats.failed));
     s.AddNumber("estimated_service_seconds", stats.estimated_service_seconds);
   }
-
-  {
-    obs::StatusSection& s = report.AddSection("ladder");
-    s.AddNumber("level", stats.level);
-    s.AddNumber("downshifts", static_cast<double>(stats.downshifts));
-    s.AddNumber("upshifts", static_cast<double>(stats.upshifts));
-    s.AddNumber("window_p99_ratio", p99_ratio);
-    obs::StatusTable& t = s.AddTable(
-        "levels", {"level", "floor", "retained", "modeled_s", "completed"});
-    for (int lvl = 0; lvl < levels(); ++lvl) {
-      const std::size_t l = static_cast<std::size_t>(lvl);
-      t.rows.push_back({std::to_string(lvl), FmtDouble(level_floors_[l]),
-                        FmtDouble(level_ratios_[l]),
-                        FmtDouble(PlanAt(lvl).ModeledTotalSeconds()),
-                        l < stats.per_level.size()
-                            ? std::to_string(stats.per_level[l])
-                            : std::string("-")});
-    }
+  obs::StatusSection& s = report.AddSection("ladder");
+  s.AddNumber("level", stats.level);
+  s.AddNumber("downshifts", static_cast<double>(stats.downshifts));
+  s.AddNumber("upshifts", static_cast<double>(stats.upshifts));
+  s.AddNumber("window_p99_ratio", in.p99_ratio);
+  obs::StatusTable& t = s.AddTable(
+      "levels", {"level", "floor", "retained", "modeled_s", "completed"});
+  for (int lvl = 0; lvl < server.levels(); ++lvl) {
+    const std::size_t l = static_cast<std::size_t>(lvl);
+    t.rows.push_back({std::to_string(lvl), FmtDouble(server.LevelFloor(lvl)),
+                      FmtDouble(server.LevelRetainedRatio(lvl)),
+                      FmtDouble(server.PlanAt(lvl).ModeledTotalSeconds()),
+                      l < stats.per_level.size()
+                          ? std::to_string(stats.per_level[l])
+                          : std::string("-")});
   }
+}
 
+/// replicas, weight_cache, worker_pool, watchdog and event_ring
+/// sections.
+void AddRuntimeSections(const BatchServer& server, const StatusInputs& in,
+                        obs::StatusReport& report) {
+  const auto age = [&](const obs::HeartbeatRegistry::View& v) {
+    return v.beat_seconds > 0 ? FmtDouble(in.now - v.beat_seconds)
+                              : std::string("-");
+  };
   {
     obs::StatusSection& s = report.AddSection("replicas");
     obs::StatusTable& t = s.AddTable(
         "heartbeats", {"name", "armed", "beats", "age_s", "completed"});
-    for (const obs::HeartbeatRegistry::View& v : heartbeats_.Snapshot()) {
+    const std::vector<std::uint64_t>& per_replica = in.stats.per_replica;
+    for (const obs::HeartbeatRegistry::View& v :
+         server.heartbeats().Snapshot()) {
       std::string completed_cell = "-";
       if (v.name.rfind("replica", 0) == 0) {
         const int idx = std::atoi(v.name.c_str() + 7);
-        if (idx >= 0 &&
-            idx < static_cast<int>(stats.per_replica.size())) {
-          completed_cell = std::to_string(
-              stats.per_replica[static_cast<std::size_t>(idx)]);
+        if (idx >= 0 && idx < static_cast<int>(per_replica.size())) {
+          completed_cell =
+              std::to_string(per_replica[static_cast<std::size_t>(idx)]);
         }
       }
       t.rows.push_back({v.name, v.armed ? "yes" : "no",
-                        std::to_string(v.beats),
-                        v.beat_seconds > 0 ? FmtDouble(now - v.beat_seconds)
-                                           : std::string("-"),
-                        completed_cell});
+                        std::to_string(v.beats), age(v), completed_cell});
     }
   }
-
   {
     obs::StatusSection& s = report.AddSection("weight_cache");
-    s.AddNumber("entries", static_cast<double>(cache_->Size()));
-    s.AddNumber("total_packs", static_cast<double>(cache_->TotalPacks()));
-    s.AddNumber("approx_bytes", static_cast<double>(cache_->ApproxBytes()));
+    s.AddNumber("entries", static_cast<double>(server.cache().Size()));
+    s.AddNumber("total_packs", static_cast<double>(server.cache().TotalPacks()));
+    s.AddNumber("approx_bytes",
+                static_cast<double>(server.cache().ApproxBytes()));
   }
-
   {
     const PoolStats pool = GetPoolStats();
     obs::StatusSection& s = report.AddSection("worker_pool");
@@ -1047,56 +954,78 @@ obs::StatusReport BatchServer::Status() const {
         s.AddTable("regions", {"name", "armed", "beats", "age_s"});
     for (const obs::HeartbeatRegistry::View& v :
          obs::GlobalHeartbeats().Snapshot()) {
-      t.rows.push_back({v.name, v.armed ? "yes" : "no",
-                        std::to_string(v.beats),
-                        v.beat_seconds > 0 ? FmtDouble(now - v.beat_seconds)
-                                           : std::string("-")});
-    }
-  }
-
-  {
-    obs::StatusSection& s = report.AddSection("watchdog");
-    s.AddNumber("enabled", opts_.watchdog.enabled ? 1 : 0);
-    s.AddNumber("running", watchdog_running ? 1 : 0);
-    s.AddNumber("stall_budget_seconds", opts_.watchdog.stall_budget_seconds);
-    s.AddNumber("poll_interval_seconds",
-                opts_.watchdog.poll_interval_seconds);
-    s.AddNumber("stalls", static_cast<double>(AsCount(c_stalls_)));
-    s.AddText("last_stall", last_stall.empty() ? "-" : last_stall);
-    s.AddNumber("last_stall_age_seconds", last_stall_age);
-  }
-
-  {
-    const obs::FlightRecorder& flight = telemetry_->flight();
-    obs::StatusSection& s = report.AddSection("flight_recorder");
-    s.AddNumber("total", static_cast<double>(flight.total()));
-    s.AddNumber("dropped", static_cast<double>(flight.dropped()));
-    s.AddNumber("capacity", static_cast<double>(flight.capacity()));
-  }
-
-  {
-    // The serving level's plan, with measured-vs-modeled drift looked
-    // up from the gauges the engine publishes after each run ("-" until
-    // a layer has been measured).
-    const obs::Registry& reg = telemetry_->registry();
-    const ExecutionPlan& plan = PlanAt(stats.level);
-    obs::StatusSection& s = report.AddSection("plan");
-    s.AddText("model", plan.model);
-    s.AddText("gpu", plan.gpu);
-    obs::StatusTable& t =
-        s.AddTable("layers", {"layer", "format", "density", "v", "modeled_s",
-                              "retained", "measured_s", "drift"});
-    for (const LayerPlan& lp : plan.layers) {
-      const std::string label = PlanGaugeLabel(lp);
       t.rows.push_back(
-          {lp.name, FormatName(lp.format), FmtDouble(lp.density),
-           std::to_string(lp.v), FmtDouble(lp.modeled_s),
-           FmtDouble(lp.retained_ratio),
-           GaugeCell(reg, "shflbw_plan_measured_seconds" + label),
-           GaugeCell(reg, "shflbw_plan_drift_ratio" + label)});
+          {v.name, v.armed ? "yes" : "no", std::to_string(v.beats), age(v)});
     }
   }
+  {
+    const obs::WatchdogOptions& w = server.options().watchdog;
+    obs::StatusSection& s = report.AddSection("watchdog");
+    s.AddNumber("enabled", w.enabled ? 1 : 0);
+    s.AddNumber("running", in.watchdog_running ? 1 : 0);
+    s.AddNumber("stall_budget_seconds", w.stall_budget_seconds);
+    s.AddNumber("poll_interval_seconds", w.poll_interval_seconds);
+    s.AddNumber("stalls", in.stalls);
+    s.AddText("last_stall", in.last_stall.empty() ? "-" : in.last_stall);
+    s.AddNumber("last_stall_age_seconds", in.last_stall_age);
+  }
+  const obs::EventRing& events = server.telemetry().events();
+  obs::StatusSection& s = report.AddSection("event_ring");
+  s.AddNumber("total", static_cast<double>(events.total()));
+  s.AddNumber("dropped", static_cast<double>(events.dropped()));
+  s.AddNumber("capacity", static_cast<double>(events.capacity()));
+  s.AddNumber("tracing", server.telemetry().tracing_on() ? 1 : 0);
+}
 
+/// The serving level's plan, with measured-vs-modeled drift looked up
+/// from the gauges the engine publishes after each run ("-" until a
+/// layer has been measured).
+void AddPlanSection(const BatchServer& server, int level,
+                    obs::StatusReport& report) {
+  const obs::Registry& reg = server.telemetry().registry();
+  const ExecutionPlan& plan = server.PlanAt(level);
+  obs::StatusSection& s = report.AddSection("plan");
+  s.AddText("model", plan.model);
+  s.AddText("gpu", plan.gpu);
+  obs::StatusTable& t =
+      s.AddTable("layers", {"layer", "format", "density", "v", "modeled_s",
+                            "retained", "measured_s", "drift"});
+  for (const LayerPlan& lp : plan.layers) {
+    const std::string label = PlanGaugeLabel(lp);
+    t.rows.push_back(
+        {lp.name, FormatName(lp.format), FmtDouble(lp.density),
+         std::to_string(lp.v), FmtDouble(lp.modeled_s),
+         FmtDouble(lp.retained_ratio),
+         GaugeCell(reg, "shflbw_plan_measured_seconds" + label),
+         GaugeCell(reg, "shflbw_plan_drift_ratio" + label)});
+  }
+}
+
+}  // namespace
+
+obs::StatusReport BatchServer::Status() const {
+  // Stats() takes mu_ itself; the second short hold picks up the bits
+  // the snapshot struct doesn't carry. Everything after reads lock-free
+  // obs state or coarser-ranked locks (cache is rank 30 > server 20,
+  // taken with mu_ released).
+  StatusInputs in;
+  in.now = NowSeconds();
+  in.uptime = in.now - start_seconds_;
+  in.stats = Stats();
+  in.stalls = static_cast<double>(AsCount(c_stalls_));
+  {
+    MutexLock lock(mu_);
+    in.depth = queue_.size();
+    in.p99_ratio = controller_.WindowP99Ratio();
+    in.last_stall = last_stall_;
+    in.last_stall_age = last_stall_age_;
+    in.watchdog_running = watchdog_ != nullptr;
+  }
+  obs::StatusReport report;
+  report.title = "shflbw batch server";
+  AddServingSections(*this, in, report);
+  AddRuntimeSections(*this, in, report);
+  AddPlanSection(*this, in.stats.level, report);
   return report;
 }
 
@@ -1112,7 +1041,7 @@ bool BatchServer::DumpStatus(const std::string& path_base) const {
 }
 
 bool BatchServer::DumpFlightRecorder(const std::string& path) const {
-  return telemetry_->flight().DumpJson(path);
+  return telemetry_->events().DumpFlightJson(path);
 }
 
 void BatchServer::OnStall(const std::string& name, double age_seconds) {
@@ -1124,15 +1053,15 @@ void BatchServer::OnStall(const std::string& name, double age_seconds) {
   }
   // Record the detection itself before dumping, so the postmortem's
   // last event is the stall that triggered it.
-  obs::FlightEvent fe;
-  fe.kind = obs::FlightKind::kStall;
-  fe.t_seconds = NowSeconds();
-  fe.value = age_seconds;
-  fe.SetLabel(name.c_str());
-  telemetry_->flight().Record(fe);
+  obs::Event ev;
+  ev.kind = obs::EventKind::kStall;
+  ev.end_seconds = NowSeconds();
+  ev.begin_seconds = ev.end_seconds - age_seconds;
+  ev.SetLabel(name);
+  telemetry_->events().Record(ev);
   if (!opts_.watchdog.dump_path.empty()) {
-    // Best effort: the stall is already counted and flight-recorded
-    // even when the dump path is unwritable.
+    // Best effort: the stall is already counted and recorded even
+    // when the dump path is unwritable.
     (void)DumpStatus(opts_.watchdog.dump_path + "_statusz");
     (void)DumpFlightRecorder(opts_.watchdog.dump_path + "_flight.json");
   }

@@ -39,8 +39,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -91,19 +93,20 @@ struct ServerOptions {
   /// (injected or backend-raised) inside the scheduler loop.
   RetryPolicy retry;
   /// Telemetry switches (obs/telemetry.h): latency histograms + kernel
-  /// profiling (metrics, on by default) and per-request span tracing
-  /// (tracing, off by default). The server builds one obs::Telemetry
-  /// from these and shares it with every engine replica, so serving
-  /// spans and kernel spans land in one trace and ServerStats,
-  /// MetricsText() and DumpTrace() all read the same sink.
+  /// profiling (metrics, on by default) and per-request queue/run and
+  /// kernel spans (tracing, off by default). The server builds one
+  /// obs::Telemetry from these and shares it with every engine replica,
+  /// so serving and kernel events land in one event ring and
+  /// ServerStats, MetricsText(), DumpTrace() and DumpFlightRecorder()
+  /// all read the same sink.
   obs::TelemetryOptions telemetry;
   /// Stall watchdog (obs/watchdog.h): when enabled, a polling thread
   /// watches the replica heartbeats (and the global ParallelFor region
   /// heartbeats); an armed replica silent for longer than the budget
-  /// counts a stall, records a kStall flight event and — with a
-  /// non-empty dump_path — writes the statusz + flight-recorder
-  /// postmortem. The budget must exceed coalesce_window_seconds plus
-  /// the longest legitimate launch.
+  /// counts a stall, records a stall event and — with a non-empty
+  /// dump_path — writes the statusz + flight-recorder postmortem. The
+  /// budget must exceed coalesce_window_seconds plus the longest
+  /// legitimate launch.
   obs::WatchdogOptions watchdog;
 };
 
@@ -271,7 +274,7 @@ class BatchServer {
   const PackedWeightCache& cache() const { return *cache_; }
 
   /// The server's telemetry sink: the metrics registry every counter /
-  /// histogram / profiling row lives in, and the span trace recorder.
+  /// histogram / profiling row lives in, and the event ring.
   /// Shared with every engine replica.
   obs::Telemetry& telemetry() const { return *telemetry_; }
 
@@ -280,17 +283,17 @@ class BatchServer {
   /// state, admission estimate) refreshed first. Safe while serving.
   std::string MetricsText() const SHFLBW_EXCLUDES(mu_);
 
-  /// Writes the recorded span trace as Chrome trace-event JSON —
-  /// loadable at ui.perfetto.dev or chrome://tracing. Call after
-  /// Drain() for a complete picture (recording is safe concurrently,
-  /// but in-flight requests have unpublished spans). False when the
-  /// path cannot be opened or tracing is compiled out.
+  /// Writes the event ring as Chrome trace-event JSON — loadable at
+  /// ui.perfetto.dev or chrome://tracing. Call after Drain() for a
+  /// complete picture (recording is safe concurrently, but in-flight
+  /// requests have unpublished spans). False when the file cannot be
+  /// opened or written.
   bool DumpTrace(const std::string& path) const;
 
   /// statusz: one structured snapshot of the whole process — build
   /// provenance, queue/occupancy, degradation ladder + shift history,
   /// per-replica scheduler state with heartbeat ages, weight-cache
-  /// entries/bytes, worker-pool claims, watchdog state, flight-recorder
+  /// entries/bytes, worker-pool claims, watchdog state, event-ring
   /// fill, and the serving level's per-layer plan table with the
   /// measured-vs-modeled drift gauges. Safe while serving (briefly
   /// takes the queue mutex, then reads lock-free/obs state).
@@ -306,7 +309,8 @@ class BatchServer {
   [[nodiscard]] bool DumpStatus(const std::string& path_base) const
       SHFLBW_EXCLUDES(mu_);
 
-  /// Dumps the flight-recorder ring as JSON; false on I/O failure.
+  /// Dumps the event ring as flight-recorder JSON; false when the file
+  /// cannot be opened or written.
   [[nodiscard]] bool DumpFlightRecorder(const std::string& path) const;
 
   /// The replica-thread heartbeat table (ParallelFor regions publish
@@ -332,24 +336,81 @@ class BatchServer {
     std::promise<Response> promise;
   };
 
-  /// Common admission path; queue space must be available.
-  std::future<Response> Enqueue(Request req, int force_level)
+  /// A batch as the seal stage hands it on: the live requests it
+  /// launches and the deadline-expired ones it sheds.
+  struct SealedBatch {
+    std::uint64_t id = 0;
+    int replica = 0;
+    int level = 0;
+    double window_begin = 0;  // coalesce window start, else seal_time
+    double seal_time = 0;     // queue spans end here, run spans begin
+    bool traced = false;      // tracing_on(), sampled once per batch
+    std::vector<Pending> live;
+    std::vector<Pending> dropped;
+  };
+
+  /// What the launch stage hands the respond and retire stages.
+  struct LaunchOutcome {
+    BatchRunResult run;
+    int attempts = 0;  // transient-fault retries
+    double final_attempt_start = 0;
+    double done = 0;
+    std::exception_ptr error;  // set: every live request fails with it
+  };
+
+  /// Common admission path; queue space must be available. Records
+  /// the submit event (`begin` = submit entry).
+  std::future<Response> Enqueue(Request req, int force_level, double begin)
+      SHFLBW_REQUIRES(mu_);
+  /// Counts and records one rejection; returns `verdict`.
+  [[nodiscard]] SubmitStatus Reject(double begin, SubmitStatus verdict)
       SHFLBW_REQUIRES(mu_);
   std::future<Response> SubmitInternal(Request req, int force_level)
       SHFLBW_EXCLUDES(mu_);
+
+  /// The scheduler thread: a loop over the stages below. Wait and seal
+  /// run with mu_ held, publish/shed/launch/respond with it released,
+  /// retire with it held again.
   void ReplicaLoop(int replica) SHFLBW_EXCLUDES(mu_);
+  /// Waits for work and holds the coalesce window; sets
+  /// `*window_begin` when the window was held. False: stop, queue
+  /// drained.
+  bool AwaitWork(int hb, std::optional<double>* window_begin)
+      SHFLBW_REQUIRES(mu_);
+  /// Pops the batch, splits off the expired requests, picks the level
+  /// (recording a shift event when the controller moved).
+  SealedBatch Seal(int replica, std::optional<double> window_begin)
+      SHFLBW_REQUIRES(mu_);
+  /// Records the seal event, wakes blocked producers, and (traced)
+  /// records a queue span per sealed request.
+  void PublishSeal(SealedBatch& b) SHFLBW_EXCLUDES(mu_);
+  /// Resolves the dropped requests as kDeadlineExceeded.
+  void Shed(SealedBatch& b, bool metrics) SHFLBW_EXCLUDES(mu_);
+  /// The fused launch with bounded retry-with-backoff; records the
+  /// launch, retry and complete events.
+  LaunchOutcome Launch(int hb, const SealedBatch& b) SHFLBW_EXCLUDES(mu_);
+  /// Resolves the live requests from the launch outcome.
+  void Respond(SealedBatch& b, LaunchOutcome& out, bool metrics)
+      SHFLBW_EXCLUDES(mu_);
+  /// Batch-atomic retirement: protocol counters, control-plane
+  /// feedback, and the idle_ notification Drain waits on.
+  void Retire(const SealedBatch& b, const LaunchOutcome& out)
+      SHFLBW_REQUIRES(mu_);
+
+  /// An event carrying the batch's id, replica, level and width.
+  static obs::Event BatchEvent(obs::EventKind kind, double begin, double end,
+                               const SealedBatch& b);
+  /// A request-track event of one request in `b` (width unset).
+  static obs::Event RequestEvent(obs::EventKind kind, double begin,
+                                 double end, const Pending& p,
+                                 const SealedBatch& b);
 
   /// Registers the serving-side metric handles (counters, histograms,
   /// gauges) in telemetry_'s registry; constructor-only.
   void RegisterMetrics();
 
-  /// Records an admission span (begin -> now) when tracing is on, and
-  /// a kReject flight event on every rejection (flight recording is
-  /// always on). `id` is kNoId on rejections (no id was assigned).
-  void TraceAdmission(double begin, std::uint64_t id, SubmitStatus verdict);
-
   /// Watchdog stall callback (watchdog thread): bumps the stall
-  /// counter, records a kStall flight event naming the stalled slot,
+  /// counter, records a stall event naming the stalled slot,
   /// and writes the statusz + flight postmortem when
   /// ServerOptions::watchdog.dump_path is set.
   void OnStall(const std::string& name, double age_seconds)
@@ -409,8 +470,8 @@ class BatchServer {
   AdmissionController admission_ SHFLBW_GUARDED_BY(mu_);
   DegradationController controller_ SHFLBW_GUARDED_BY(mu_);
 
-  /// Controller level after the most recent seal; kShift flight events
-  /// are emitted on transitions, so any replica's seal can observe the
+  /// Controller level after the most recent seal; shift events are
+  /// recorded on transitions, so any replica's seal can observe the
   /// shared controller moving.
   int last_observed_level_ SHFLBW_GUARDED_BY(mu_) = 0;
   /// Most recent watchdog stall (statusz watchdog section).

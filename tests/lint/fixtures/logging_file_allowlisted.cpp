@@ -1,4 +1,4 @@
-// Fixture: the flight recorder is a sanctioned dump sink — its file
+// Fixture: the event ring is a sanctioned dump sink — its file
 // output does not fire the logging rule.
 #include <fstream>
 

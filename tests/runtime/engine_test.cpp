@@ -133,8 +133,6 @@ TEST(Engine, AutotunePacksAtPlanTimeAndKeepsRunsCacheOnly) {
 // planned-vs-measured drift after a run: modeled seconds are set at
 // plan registration, measured seconds and the drift ratio after the
 // first launch. One gauge per plan layer, all strictly positive.
-// Kernel profiling compiles out entirely at SHFLBW_OBS=0.
-#if SHFLBW_OBS
 TEST(Engine, KernelProfilingPublishesDriftPerPlanLayer) {
   ThreadGuard guard;
   SetParallelThreads(1);
@@ -166,7 +164,6 @@ TEST(Engine, KernelProfilingPublishesDriftPerPlanLayer) {
     EXPECT_GT(measured->Value(), 0.0);
   }
 }
-#endif  // SHFLBW_OBS
 
 TEST(Engine, AutotuneReportsOnlyGenuinelyMeasuredWinners) {
   EngineOptions opts = SmallOptions();

@@ -18,7 +18,6 @@
 #include "benchdiff/benchdiff.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
-#include "obs/obs_config.h"
 #include "obs/statusz.h"
 #include "runtime/server.h"
 
@@ -111,7 +110,7 @@ TEST(BatchServer, StatusExposesEveryOperationalSection) {
   for (const obs::StatusSection& s : report.sections) names.insert(s.name);
   for (const char* want :
        {"build", "server", "ladder", "replicas", "weight_cache",
-        "worker_pool", "watchdog", "flight_recorder", "plan"}) {
+        "worker_pool", "watchdog", "event_ring", "plan"}) {
     EXPECT_EQ(names.count(want), 1u) << "missing section " << want;
   }
 
@@ -160,9 +159,6 @@ TEST(BatchServer, DumpStatusWritesTextAndJson) {
 // and the postmortem statusz + flight dumps land on disk naming the
 // stalled replica.
 TEST(BatchServer, WedgedReplicaTripsWatchdogAndDumpsPostmortem) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "flight recorder compiled out";
-  }
   ThreadGuard guard;
   SetParallelThreads(1);
   TempFiles tmp;

@@ -33,8 +33,8 @@
 //                     src/common/logging.cpp (the one sanctioned sink),
 //                     and file output (ofstream / fopen / fwrite /
 //                     freopen) only in the sanctioned dump sinks
-//                     (logging, obs/trace, obs/statusz,
-//                     obs/flight_recorder, format/serialize);
+//                     (logging, obs/event_ring, obs/statusz,
+//                     format/serialize);
 //                     bench/, examples/ and tests/ are out of scope.
 //   format-dispatch   no `case Format::...` (however qualified) in src/
 //                     outside src/runtime/format.cpp: every per-format

@@ -490,13 +490,13 @@ void CheckLogging(const Pass& p) {
   static const std::set<std::string> kCalls = {"printf", "fprintf", "puts",
                                                "fputs", "putchar"};
   // File output is confined to the sanctioned dump sinks: the logger,
-  // trace/statusz/flight-recorder dumps, and weight serialization.
-  // Everything else in src/ opening or writing files is a smuggled
-  // side channel the operator can't find, rotate, or turn off.
+  // the event-ring (trace + flight) and statusz dumps, and weight
+  // serialization. Everything else in src/ opening or writing files is
+  // a smuggled side channel the operator can't find, rotate, or turn
+  // off.
   static const std::set<std::string> kFileSinks = {
-      "src/common/logging.cpp",    "src/obs/trace.cpp",
-      "src/obs/statusz.cpp",       "src/obs/flight_recorder.cpp",
-      "src/format/serialize.cpp"};
+      "src/common/logging.cpp", "src/obs/event_ring.cpp",
+      "src/obs/statusz.cpp", "src/format/serialize.cpp"};
   static const std::set<std::string> kFileWriters = {"ofstream", "fopen",
                                                      "fwrite", "freopen"};
   const bool file_sink = kFileSinks.count(p.path) > 0;
@@ -513,8 +513,8 @@ void CheckLogging(const Pass& p) {
         p.Report(t.line, kLogging,
                  "'" + t.text +
                      "' opens a file in library code; file output is "
-                     "confined to the sanctioned sinks (logging, trace, "
-                     "statusz, flight recorder, serialize)");
+                     "confined to the sanctioned sinks (logging, event "
+                     "ring, statusz, serialize)");
         continue;
       }
     }
